@@ -49,6 +49,7 @@ from .features import (
 )
 from .measures import EmpiricalMeasure, SortedSamples, make_uniform_empirical
 from .poisson import (
+    MCEstimate,
     RateFunction,
     SpikeSeed,
     cumulative_intensity,
@@ -69,9 +70,7 @@ from .validation import (
     DEFAULT_Z_THRESHOLD,
     Fig3Row,
     HarmonicSliceCheck,
-    MCEstimate,
     MomentComparison,
-    SurfaceCell,
     SurfaceValidation,
     ValidationReport,
     expected_distance_comparisons,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import closed_form, validation
 from .dissimilarity import MultiChannelTrain, composite_wasserstein
-from .errors import EmptyTrain, InvalidMeasure, SpikeOTError
+from .errors import DomainError, EmptyTrain, InvalidMeasure, SpikeOTError
 from .features import (
     hausdorff_features,
     js_bin_features,
@@ -175,9 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "jsonl"), default=argparse.SUPPRESS)
     common.add_argument("--output", default=argparse.SUPPRESS,
                         help="output path (default stdout)")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker-thread cap for grid experiments; results are "
-                        "identical for any value")
 
     parser = argparse.ArgumentParser(
         prog="spikeot",
@@ -206,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="reproduce a named experiment table",
                            parents=[common])
-    p_exp.add_argument("name", choices=("fig2", "fig3", "figB1", "shift", "sliced-demo"))
+    p_exp.add_argument("name", choices=tuple(_EXPERIMENTS))
     p_exp.add_argument("--trials", type=int, default=None)
     p_exp.add_argument("--rate1", type=float, default=0.3)
     p_exp.add_argument("--rate2", type=float, default=0.8)
@@ -268,58 +265,65 @@ def _cmd_closed_form(args, seed) -> tuple[dict, list[dict]]:
     return config, [{"mean": moment.mean, "variance": moment.variance, "std": moment.std}]
 
 
-def _experiment_figb1(args, seed) -> list[dict]:
-    trials = args.trials or 20000
+# the one default per experiment; `--trials` and `--shifts` override them
+_DEFAULT_TRIALS = {"fig2": 2000, "fig3": 1000, "figB1": 20000, "shift": 20000}
+_DEFAULT_SHIFTS = {"fig3": [s / 2.0 for s in range(-4, 5)],
+                   "shift": [float(s) for s in range(-10, 11)]}
+
+
+def _moment_row(key, cmp, threshold, **extra) -> dict:
+    """A closed-vs-MC moment row; it passes when both mean and std do."""
+    return {
+        key: cmp.params[key],
+        "closed_mean": cmp.closed_mean, "closed_std": cmp.closed_std,
+        "mc_mean": cmp.mc_mean, "mc_std": cmp.mc_std,
+        "se_mean": cmp.se_mean, "se_std": cmp.se_std,
+        "z_mean": cmp.z_mean, "z_std": cmp.z_std,
+        **extra,
+        "passed": int(abs(cmp.z_mean) <= threshold and abs(cmp.z_std) <= threshold),
+    }
+
+
+def _experiment_figb1(args, seed) -> tuple[dict, list[dict]]:
+    settings = dict(rate1=args.rate1, rate2=args.rate2, k_max=args.k_max, trials=args.trials)
     comparisons = validation.expected_distance_comparisons(
-        args.rate1, args.rate2, args.k_max, trials, seed
+        args.rate1, args.rate2, args.k_max, args.trials, seed
     )
-    limit = (abs(1.0 / args.rate1 - 1.0 / args.rate2)
+    limit = (closed_form.limiting_normalized_distance(args.rate1, args.rate2)[0]
              if args.rate1 != args.rate2 else 0.0)
-    rows = []
-    for cmp in comparisons:
-        k = cmp.params["k"]
-        rows.append({
-            "k": k,
-            "closed_mean": cmp.closed_mean, "closed_std": cmp.closed_std,
-            "mc_mean": cmp.mc_mean, "mc_std": cmp.mc_std,
-            "se_mean": cmp.se_mean, "se_std": cmp.se_std,
-            "z_mean": cmp.z_mean, "z_std": cmp.z_std,
-            "normalized_mean": cmp.mc_mean / k, "limit": limit,
-            "passed": int(abs(cmp.z_mean) <= args.threshold
-                          and abs(cmp.z_std) <= args.threshold),
-        })
-    return rows
+    return settings, [
+        _moment_row("k", cmp, args.threshold,
+                    normalized_mean=cmp.mc_mean / cmp.params["k"], limit=limit)
+        for cmp in comparisons
+    ]
 
 
-def _experiment_shift(args, seed) -> list[dict]:
-    trials = args.trials or 20000
-    shifts = args.shifts if args.shifts is not None else [float(s) for s in range(-10, 11)]
-    rows = []
-    for cmp in validation.shift_comparisons(args.rate1, args.rate2, shifts, trials, seed):
-        rows.append({
-            "shift": cmp.params["shift"],
-            "closed_mean": cmp.closed_mean, "closed_std": cmp.closed_std,
-            "mc_mean": cmp.mc_mean, "mc_std": cmp.mc_std,
-            "se_mean": cmp.se_mean, "se_std": cmp.se_std,
-            "z_mean": cmp.z_mean, "z_std": cmp.z_std,
-            "passed": int(abs(cmp.z_mean) <= args.threshold
-                          and abs(cmp.z_std) <= args.threshold),
-        })
-    return rows
+def _experiment_shift(args, seed) -> tuple[dict, list[dict]]:
+    settings = dict(rate1=args.rate1, rate2=args.rate2, trials=args.trials,
+                    shifts=",".join(_fmt(s) for s in args.shifts))
+    comparisons = validation.shift_comparisons(
+        args.rate1, args.rate2, args.shifts, args.trials, seed
+    )
+    return settings, [_moment_row("shift", cmp, args.threshold) for cmp in comparisons]
 
 
-def _experiment_fig2(args, seed, threads) -> list[dict]:
-    trials = args.trials or 2000
-    steps = int(round((args.grid_max - args.grid_min) / args.grid_step))
+def _experiment_fig2(args, seed) -> tuple[dict, list[dict]]:
+    settings = dict(grid_min=args.grid_min, grid_max=args.grid_max, grid_step=args.grid_step,
+                    n_samples=args.n_samples, trials=args.trials)
+    span = args.grid_max - args.grid_min
+    if not (args.grid_step > 0.0 and 0.0 <= span < math.inf):
+        raise DomainError("fig2 needs grid_step > 0 and a finite grid_max >= grid_min")
+    steps = int(round(span / args.grid_step))
     rates = [args.grid_min + i * args.grid_step for i in range(steps + 1)]
     surface = validation.validate_wasserstein_surface(
-        rates, args.n_samples, trials, seed, threshold=args.threshold, threads=threads
+        rates, args.n_samples, args.trials, seed, threshold=args.threshold
     )
+    grid = [(r1, r2) for r1 in rates for r2 in rates]
     rows = [
-        {"kind": "cell", "rate1": c.rate1, "rate2": c.rate2,
-         "closed": c.closed_value, "mc_mean": c.mc_mean,
-         "std_error": c.std_error, "z": c.z_score, "passed": int(c.passed)}
-        for c in surface.cells
+        {"kind": "cell", "rate1": r1, "rate2": r2,
+         "closed": c.closed_value, "mc_mean": c.estimate.mean,
+         "std_error": c.estimate.std_error, "z": c.z_score, "passed": int(c.passed)}
+        for (r1, r2), c in zip(grid, surface.cells)
     ]
     rows += [
         {"kind": "harmonic_slice", "harmonic_mean": s.harmonic_mean,
@@ -327,24 +331,25 @@ def _experiment_fig2(args, seed, threads) -> list[dict]:
          "passed": int(s.passed)}
         for s in surface.slice_checks
     ]
-    return rows
+    return settings, rows
 
 
-def _experiment_fig3(args, seed, threads) -> list[dict]:
-    trials = args.trials or 1000
-    shifts = args.shifts if args.shifts is not None else [s / 2.0 for s in range(-4, 5)]
+def _experiment_fig3(args, seed) -> tuple[dict, list[dict]]:
+    settings = dict(base_rate=args.base_rate, bins=args.bins, trials=args.trials,
+                    ratios=",".join(_fmt(r) for r in args.ratios),
+                    shifts=",".join(_fmt(s) for s in args.shifts))
     rows = validation.run_fig3_experiment(
-        args.ratios, shifts, trials, seed,
-        base_rate=args.base_rate, bins=args.bins, threads=threads,
+        args.ratios, args.shifts, args.trials, seed, base_rate=args.base_rate, bins=args.bins,
     )
-    return [asdict(r) for r in rows]
+    return settings, [asdict(r) for r in rows]
 
 
-def _experiment_sliced(args, seed) -> list[dict]:
+def _experiment_sliced(args, seed) -> tuple[dict, list[dict]]:
+    settings = dict(directions=args.directions, cloud_size=args.cloud_size)
     cloud = PointCloud(seed.generator(0).standard_normal((args.cloud_size, 2)))
     shifted = cloud.translate([1.0, 0.0])
     estimate = sliced_w1(cloud, shifted, args.directions, seed)
-    return [{
+    return settings, [{
         "directions": estimate.trials,
         "estimate": estimate.mean,
         "std_error": estimate.std_error,
@@ -352,32 +357,24 @@ def _experiment_sliced(args, seed) -> list[dict]:
     }]
 
 
-def _cmd_experiment(args, seed, threads) -> tuple[dict, list[dict]]:
+_EXPERIMENTS = {
+    "fig2": _experiment_fig2,
+    "fig3": _experiment_fig3,
+    "figB1": _experiment_figb1,
+    "shift": _experiment_shift,
+    "sliced-demo": _experiment_sliced,
+}
+
+
+def _cmd_experiment(args, seed) -> tuple[dict, list[dict]]:
+    if args.trials is None:
+        args.trials = _DEFAULT_TRIALS.get(args.name)
+    if args.shifts is None:
+        args.shifts = _DEFAULT_SHIFTS.get(args.name)
+    settings, rows = _EXPERIMENTS[args.name](args, seed)
     config = {"command": f"experiment:{args.name}", "seed": seed.seed,
-              "threads": threads, "threshold": args.threshold}
-    if args.name == "figB1":
-        config.update(rate1=args.rate1, rate2=args.rate2, k_max=args.k_max,
-                      trials=args.trials or 20000)
-        return config, _experiment_figb1(args, seed)
-    if args.name == "shift":
-        shifts = args.shifts if args.shifts is not None else [float(s) for s in range(-10, 11)]
-        config.update(rate1=args.rate1, rate2=args.rate2, trials=args.trials or 20000,
-                      shifts=",".join(_fmt(s) for s in shifts))
-        return config, _experiment_shift(args, seed)
-    if args.name == "fig2":
-        config.update(grid_min=args.grid_min, grid_max=args.grid_max,
-                      grid_step=args.grid_step, n_samples=args.n_samples,
-                      trials=args.trials or 2000)
-        return config, _experiment_fig2(args, seed, threads)
-    if args.name == "fig3":
-        shifts = args.shifts if args.shifts is not None else [s / 2.0 for s in range(-4, 5)]
-        config.update(base_rate=args.base_rate, bins=args.bins,
-                      trials=args.trials or 1000,
-                      ratios=",".join(_fmt(r) for r in args.ratios),
-                      shifts=",".join(_fmt(s) for s in shifts))
-        return config, _experiment_fig3(args, seed, threads)
-    config.update(directions=args.directions, cloud_size=args.cloud_size)
-    return config, _experiment_sliced(args, seed)
+              "threshold": args.threshold, **settings}
+    return config, rows
 
 
 def _cmd_features(args, seed) -> tuple[dict, list[dict]]:
@@ -408,25 +405,31 @@ def _cmd_features(args, seed) -> tuple[dict, list[dict]]:
     return config, rows
 
 
+def _resolve_seed(args) -> SpikeSeed:
+    value = getattr(args, "seed", None)
+    if value is None:
+        text = os.environ.get(ENV_SEED, str(DEFAULT_SEED))
+        try:
+            value = int(text)
+        except ValueError:
+            raise DomainError(f"${ENV_SEED} must be an integer, got {text!r}") from None
+    return SpikeSeed(value)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    seed_value = getattr(args, "seed", None)
-    if seed_value is None:
-        seed_value = int(os.environ.get(ENV_SEED, DEFAULT_SEED))
-    seed = SpikeSeed(seed_value)
-    threads = max(1, getattr(args, "threads", 1))
     out_format = getattr(args, "format", "csv")
     out_path = getattr(args, "output", None)
 
     try:
+        seed = _resolve_seed(args)
         if args.command == "w1":
             config, rows = _cmd_w1(args, seed)
         elif args.command == "closed-form":
             config, rows = _cmd_closed_form(args, seed)
         elif args.command == "experiment":
-            config, rows = _cmd_experiment(args, seed, threads)
+            config, rows = _cmd_experiment(args, seed)
         else:
             config, rows = _cmd_features(args, seed)
     except (EmptyInput, EmptyTrain) as exc:

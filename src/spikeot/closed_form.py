@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DegenerateLimit, DomainError, IntensityExhausted
 from .poisson import RateFunction
@@ -239,6 +239,9 @@ def expected_distance_time_varying(
         raise DomainError("arrival orders must be integers >= 1")
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
+    # the only user of scipy.integrate: importing it here keeps it out of `import spikeot`
+    from scipy import integrate
+
     k = int(k)
     l = int(l)
 

@@ -19,6 +19,7 @@ from .measures import SortedSamples
 
 __all__ = [
     "SpikeSeed",
+    "MCEstimate",
     "RateFunction",
     "cumulative_intensity",
     "inverse_cumulative_intensity",
@@ -50,6 +51,16 @@ class SpikeSeed:
         """A generator for the substream addressed by ``path`` below this seed."""
         ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream), *map(int, path)))
         return np.random.Generator(np.random.PCG64(ss))
+
+
+@dataclass(frozen=True)
+class MCEstimate:
+    """A Monte-Carlo estimate: value, standard error, trial count, seed."""
+
+    mean: float
+    std_error: float
+    trials: int
+    seed: SpikeSeed
 
 
 class RateFunction:

@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InvalidSample
 from .measures import SortedSamples, make_uniform_empirical
-from .poisson import SpikeSeed
+from .poisson import MCEstimate, SpikeSeed
 from .transport import w1_general
-from .validation import MCEstimate
 
 __all__ = ["PointCloud", "project", "sliced_w1"]
 

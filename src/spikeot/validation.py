@@ -8,14 +8,13 @@ reports exceed it by chance.
 
 Random streams are derived hierarchically from one SpikeSeed: every grid
 cell and every process gets its own substream, and draws are laid out
-trial-major, so results are bit-identical across runs and across thread
-counts, and extending the trial count never perturbs earlier trials.
+trial-major, so results are bit-identical across runs, and extending the
+trial count never perturbs earlier trials.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +29,12 @@ from .closed_form import (
 from .dissimilarity import binned_js_divergence, directed_hausdorff
 from .errors import DomainError
 from .measures import make_uniform_empirical
-from .poisson import SpikeSeed
+from .poisson import MCEstimate, SpikeSeed
 from .transport import w1_general
 
 __all__ = [
-    "MCEstimate",
     "ValidationReport",
     "MomentComparison",
-    "SurfaceCell",
     "HarmonicSliceCheck",
     "SurfaceValidation",
     "Fig3Row",
@@ -54,16 +51,6 @@ DEFAULT_Z_THRESHOLD = 4.0
 
 
 @dataclass(frozen=True)
-class MCEstimate:
-    """A Monte-Carlo estimate: value, standard error, trial count, seed."""
-
-    mean: float
-    std_error: float
-    trials: int
-    seed: SpikeSeed
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """One closed-form-vs-simulation comparison with its z-score verdict."""
 
@@ -75,11 +62,14 @@ class ValidationReport:
     passed: bool
 
 
-def _report(quantity, closed_value, value, se, trials, seed, threshold) -> ValidationReport:
+def _z_score(value, target, se) -> float:
     if se > 0.0:
-        z = (value - closed_value) / se
-    else:
-        z = 0.0 if value == closed_value else math.inf
+        return (value - target) / se
+    return 0.0 if value == target else math.inf
+
+
+def _report(quantity, closed_value, value, se, trials, seed, threshold) -> ValidationReport:
+    z = _z_score(value, closed_value, se)
     return ValidationReport(
         quantity=quantity,
         closed_value=float(closed_value),
@@ -126,20 +116,14 @@ def _compare_moments(label, params, samples, moment: ClosedFormMoment) -> Moment
     # asymptotic SE of the sample std via the fourth central moment
     var_s2 = max(m4 - m2 * m2, 0.0) / n
     se_std = math.sqrt(var_s2) / (2.0 * mc_std) if mc_std > 0.0 else 0.0
-
-    def z(value, target, se):
-        if se > 0.0:
-            return (value - target) / se
-        return 0.0 if value == target else math.inf
-
-    z_mean = z(mc_mean, moment.mean, se_mean)
-    z_std = z(mc_std, moment.std, se_std)
     return MomentComparison(
         label=label, params=dict(params),
         closed_mean=moment.mean, closed_std=moment.std,
         mc_mean=mc_mean, mc_std=mc_std,
         se_mean=se_mean, se_std=se_std,
-        z_mean=z_mean, z_std=z_std, trials=n,
+        z_mean=_z_score(mc_mean, moment.mean, se_mean),
+        z_std=_z_score(mc_std, moment.std, se_std),
+        trials=n,
     )
 
 
@@ -242,19 +226,6 @@ def validate_shift(
 
 
 @dataclass(frozen=True)
-class SurfaceCell:
-    """One (rate1, rate2) cell of the expected-Wasserstein surface check."""
-
-    rate1: float
-    rate2: float
-    closed_value: float
-    mc_mean: float
-    std_error: float
-    z_score: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class HarmonicSliceCheck:
     """Closed-form argmin scan along one constant-harmonic-mean curve."""
 
@@ -266,7 +237,9 @@ class HarmonicSliceCheck:
 
 @dataclass(frozen=True)
 class SurfaceValidation:
-    cells: list[SurfaceCell]
+    """Surface cells in row-major (rate1, rate2) grid order, plus slice checks."""
+
+    cells: list[ValidationReport]
     slice_checks: list[HarmonicSliceCheck]
     threshold: float
     trials: int
@@ -285,14 +258,14 @@ def _surface_cell(rate1, rate2, n_samples, trials, seed, cell_index, threshold):
     x = np.cumsum(seed.generator(cell_index, 0).standard_exponential((trials, n_samples)), axis=1) / rate1
     y = np.cumsum(seed.generator(cell_index, 1).standard_exponential((trials, n_samples)), axis=1) / rate2
     w = np.abs(x - y).mean(axis=1)
-    closed = expected_wasserstein(rate1, rate2, n_samples)
-    mc_mean = float(w.mean())
-    se = float(w.std(ddof=1)) / math.sqrt(trials)
-    z = (mc_mean - closed) / se if se > 0.0 else 0.0
-    return SurfaceCell(
-        rate1=rate1, rate2=rate2, closed_value=closed,
-        mc_mean=mc_mean, std_error=se, z_score=float(z),
-        passed=bool(abs(z) <= threshold),
+    return _report(
+        f"expected_wasserstein[rate1={rate1:g},rate2={rate2:g}]",
+        expected_wasserstein(rate1, rate2, n_samples),
+        float(w.mean()),
+        float(w.std(ddof=1)) / math.sqrt(trials),
+        trials,
+        seed,
+        threshold,
     )
 
 
@@ -325,7 +298,6 @@ def validate_wasserstein_surface(
     trials: int,
     seed: SpikeSeed,
     threshold: float = DEFAULT_Z_THRESHOLD,
-    threads: int = 1,
 ) -> SurfaceValidation:
     """MC-vs-closed-form E[W] over a rate grid, plus harmonic-slice argmin checks."""
     trials = _check_trials(trials)
@@ -334,18 +306,10 @@ def validate_wasserstein_surface(
     rates = [float(r) for r in rates]
     n_samples = int(n_samples)
     grid = [(r1, r2) for r1 in rates for r2 in rates]
-
-    def cell(args):
-        idx, (r1, r2) = args
-        return _surface_cell(r1, r2, n_samples, trials, seed, idx, threshold)
-
-    tasks = list(enumerate(grid))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(cell, tasks))
-    else:
-        cells = [cell(t) for t in tasks]
-
+    cells = [
+        _surface_cell(r1, r2, n_samples, trials, seed, idx, threshold)
+        for idx, (r1, r2) in enumerate(grid)
+    ]
     slices = [harmonic_slice_check(c, n_samples) for c in rates]
     return SurfaceValidation(
         cells=cells, slice_checks=slices, threshold=threshold, trials=trials, seed=seed
@@ -432,7 +396,6 @@ def run_fig3_experiment(
     base_rate: float = 100.0,
     bins: int = 10,
     order_stat: int = 50,
-    threads: int = 1,
 ) -> list[Fig3Row]:
     """Average W1 / Hausdorff / JS / order-statistic gap over a generator grid.
 
@@ -449,13 +412,9 @@ def run_fig3_experiment(
         raise DomainError("base_rate must be positive and order_stat an integer >= 1")
     trials = int(trials)
     cells = [(float(r), float(dt)) for r in rate_ratios for dt in shifts]
-
-    def run(args):
-        idx, (r, dt) = args
-        return _two_segment_cell(r, dt, trials, seed, idx, float(base_rate), int(bins), int(order_stat))
-
-    tasks = list(enumerate(cells))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, tasks))
-    return [run(t) for t in tasks]
+    if not all(0.0 < r < math.inf for r, _ in cells):
+        raise DomainError("rate ratios must be positive and finite")
+    return [
+        _two_segment_cell(r, dt, trials, seed, idx, float(base_rate), int(bins), int(order_stat))
+        for idx, (r, dt) in enumerate(cells)
+    ]

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spikeot
 from spikeot.cli import main, read_multichannel, read_samples, read_table
 
 
@@ -114,6 +117,37 @@ def test_unknown_experiment_name_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["experiment", "nope"])
     assert excinfo.value.code == 2
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--threads", "2", "closed-form", "1", "2", "3", "4"])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("env_seed, argv", [
+    pytest.param(None, ["--seed", "-1", "closed-form", "1", "2", "1", "1"], id="negative-seed"),
+    pytest.param("abc", ["closed-form", "1", "2", "1", "1"], id="env-seed-not-int"),
+    pytest.param(None, ["experiment", "fig2", "--grid-step", "0"], id="fig2-zero-step"),
+    pytest.param(None, ["experiment", "fig2", "--grid-step", "-0.25"], id="fig2-negative-step"),
+    pytest.param(None, ["experiment", "fig2", "--grid-min", "3", "--grid-max", "2"],
+                 id="fig2-reversed-grid"),
+    pytest.param(None, ["experiment", "fig2", "--trials", "0"], id="fig2-zero-trials"),
+    pytest.param(None, ["experiment", "fig3", "--trials", "0"], id="fig3-zero-trials"),
+    pytest.param(None, ["experiment", "fig3", "--ratios=-1", "--trials", "5"],
+                 id="fig3-negative-ratio"),
+    pytest.param(None, ["experiment", "figB1", "--trials", "0"], id="figB1-zero-trials"),
+    pytest.param(None, ["experiment", "shift", "--trials", "0"], id="shift-zero-trials"),
+])
+def test_bad_input_exits_2_with_message(capsys, monkeypatch, env_seed, argv):
+    if env_seed is None:
+        monkeypatch.delenv("SPIKEOT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SPIKEOT_SEED", env_seed)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("spikeot: ")
 
 
 def test_experiment_figb1_small(capsys):
@@ -248,3 +282,12 @@ def test_env_var_seed(tmp_path, capsys, monkeypatch):
     config2, _ = read_table(out2)
     assert config2["seed"] == 556
     assert out != out2
+
+
+def test_import_leaves_out_scipy_integrate():
+    # only the time-varying quadrature needs scipy.integrate, so startup skips it
+    src = os.path.dirname(os.path.dirname(spikeot.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, spikeot.cli; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
