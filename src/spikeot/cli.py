@@ -265,7 +265,8 @@ def _cmd_closed_form(args, seed) -> tuple[dict, list[dict]]:
     return config, [{"mean": moment.mean, "variance": moment.variance, "std": moment.std}]
 
 
-# the one default per experiment; `--trials` and `--shifts` override them
+# the one default per experiment; `--trials` and `--shifts` override them, and
+# an experiment with no entry here rejects the flag
 _DEFAULT_TRIALS = {"fig2": 2000, "fig3": 1000, "figB1": 20000, "shift": 20000}
 _DEFAULT_SHIFTS = {"fig3": [s / 2.0 for s in range(-4, 5)],
                    "shift": [float(s) for s in range(-10, 11)]}
@@ -367,10 +368,12 @@ _EXPERIMENTS = {
 
 
 def _cmd_experiment(args, seed) -> tuple[dict, list[dict]]:
-    if args.trials is None:
-        args.trials = _DEFAULT_TRIALS.get(args.name)
-    if args.shifts is None:
-        args.shifts = _DEFAULT_SHIFTS.get(args.name)
+    for flag, defaults in (("trials", _DEFAULT_TRIALS), ("shifts", _DEFAULT_SHIFTS)):
+        if args.name in defaults:
+            if getattr(args, flag) is None:
+                setattr(args, flag, defaults[args.name])
+        elif getattr(args, flag) is not None:
+            raise DomainError(f"experiment {args.name} takes no --{flag}")
     settings, rows = _EXPERIMENTS[args.name](args, seed)
     config = {"command": f"experiment:{args.name}", "seed": seed.seed,
               "threshold": args.threshold, **settings}

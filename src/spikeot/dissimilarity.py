@@ -75,6 +75,22 @@ def directed_hausdorff(x: SortedSamples, y: SortedSamples) -> float:
     return float(np.max(np.minimum(left, right)))
 
 
+def _hausdorff_rows(z: np.ndarray, from_y: np.ndarray) -> np.ndarray:
+    """Row-wise max of both ``directed_hausdorff`` directions, from ``_merge_rows`` output.
+
+    An event's nearest other-train events are the ones just outside its run
+    of same-train events; the distance is the largest such gap of any event.
+    """
+    switch = from_y[:, 1:] != from_y[:, :-1]
+    nearest = np.full_like(z, np.inf)
+    with np.errstate(invalid="ignore"):  # inf - inf at the pads, masked below
+        nearest[:, 1:] = z[:, 1:] - np.maximum.accumulate(
+            np.where(switch, z[:, :-1], -np.inf), axis=1)
+        after = np.minimum.accumulate(np.where(switch, z[:, 1:], np.inf)[:, ::-1], axis=1)
+        np.minimum(nearest[:, :-1], after[:, ::-1] - z[:, :-1], out=nearest[:, :-1])
+    return np.where(np.isfinite(z), nearest, 0.0).max(axis=1)
+
+
 def binned_js_divergence(
     x: SortedSamples, y: SortedSamples, bins: int
 ) -> tuple[float, np.ndarray]:
@@ -94,15 +110,40 @@ def binned_js_divergence(
     if hi == lo:
         return 0.0, np.zeros(1)
     edges = np.linspace(lo, hi, int(bins) + 1)
-    p = BinnedPMF.from_samples(x, edges).masses
-    q = BinnedPMF.from_samples(y, edges).masses
+    per_bin = _js_terms(BinnedPMF.from_samples(x, edges).masses,
+                        BinnedPMF.from_samples(y, edges).masses)
+    return float(per_bin.sum()), per_bin
+
+
+def _js_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-bin Jensen-Shannon contributions of bin masses p and q (last axis)."""
     m = 0.5 * (p + q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        per_bin = 0.5 * (
+        return 0.5 * (
             np.where(p > 0.0, p * np.log(np.where(p > 0.0, p / m, 1.0)), 0.0)
             + np.where(q > 0.0, q * np.log(np.where(q > 0.0, q / m, 1.0)), 0.0)
         )
-    return float(per_bin.sum()), per_bin
+
+
+def _js_rows(x: np.ndarray, y: np.ndarray, nx: np.ndarray, ny: np.ndarray, bins: int) -> np.ndarray:
+    """Row-wise ``binned_js_divergence`` totals of sorted rows padded with +inf.
+
+    Merged ahead of a row's values at ties, interior edge j lands at position
+    j + #(values < edge j): the count ``np.histogram`` puts left of it.
+    """
+    rows = np.arange(nx.size)
+    lo = np.minimum(x[:, 0], y[:, 0])
+    hi = np.maximum(x[rows, nx - 1], y[rows, ny - 1])
+    live = hi != lo
+    inner = np.linspace(lo[live], hi[live], bins + 1, axis=1)[:, 1:-1]
+    masses = []
+    for v, n in ((x[live], nx[live, None]), (y[live], ny[live, None])):
+        order = np.argsort(np.concatenate((inner, v), axis=1), axis=1, kind="stable")
+        below = np.nonzero(order < bins - 1)[1].reshape(len(v), bins - 1) - np.arange(bins - 1)
+        masses.append(np.diff(below, prepend=0, append=n, axis=1) / n)
+    totals = np.zeros(nx.size)
+    totals[live] = _js_terms(*masses).sum(axis=1)
+    return totals
 
 
 def victor_purpura(x: SortedSamples, y: SortedSamples, q: float) -> float:

@@ -160,3 +160,10 @@ def _wrap_sorted(sorted_array: np.ndarray) -> SortedSamples:
 def make_uniform_empirical(values) -> EmpiricalMeasure:
     """Empirical measure placing mass 1/N on each of the N given values."""
     return EmpiricalMeasure(values, masses=None)
+
+
+def _merge_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge +inf-padded sorted rows of x and y, x first at ties; also mark y's entries."""
+    both = np.concatenate((x, y), axis=1)
+    order = np.argsort(both, axis=1, kind="stable")
+    return np.take_along_axis(both, order, axis=1), order >= x.shape[1]

@@ -105,6 +105,18 @@ def w1_general(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     return math.fsum((hi - lo) * np.abs(a.values[i] - b.values[j]))
 
 
+def _w1_rows(z: np.ndarray, from_y: np.ndarray, nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
+    """Row-wise ``w1_general`` of uniform measures, from ``_merge_rows`` output.
+
+    Integrates |F - G| over the merged gaps on the int64 ladder nx*ny*(F - G);
+    the +inf pads are clamped to the row's last value, so they span nothing.
+    Agrees with ``w1_general`` to rounding: the sums run in another order.
+    """
+    last = np.take_along_axis(z, (nx + ny - 1)[:, None], axis=1)
+    ladder = np.cumsum(np.where(from_y, -nx[:, None], ny[:, None]), axis=1)[:, :-1]
+    return (np.abs(ladder) * np.diff(np.minimum(z, last), axis=1)).sum(axis=1) / (nx * ny)
+
+
 def partial_transport_cost(
     a: EmpiricalMeasure, b: EmpiricalMeasure, u_lo: float, u_hi: float
 ) -> float:

@@ -138,7 +138,22 @@ def test_threads_flag_is_gone(capsys):
                  id="fig3-negative-ratio"),
     pytest.param(None, ["experiment", "figB1", "--trials", "0"], id="figB1-zero-trials"),
     pytest.param(None, ["experiment", "shift", "--trials", "0"], id="shift-zero-trials"),
+    pytest.param(None, ["experiment", "fig3", "--ratios=", "--trials", "5"], id="fig3-no-ratios"),
+    pytest.param(None, ["experiment", "shift", "--shifts="], id="shift-no-shifts"),
+    pytest.param(None, ["experiment", "fig2", "--grid-min", "0"], id="fig2-zero-rate"),
+    pytest.param(None, ["experiment", "fig3", "--base-rate", "inf"], id="fig3-infinite-base-rate"),
+    pytest.param(None, ["experiment", "fig3", "--base-rate", "1e30"], id="fig3-huge-base-rate"),
+    pytest.param(None, ["experiment", "fig3", "--bins", "0", "--base-rate", "0.01",
+                        "--trials", "5"], id="fig3-zero-bins"),
+    pytest.param(None, ["experiment", "fig3", "--shifts=inf", "--trials", "5"],
+                 id="fig3-infinite-shift"),
+    pytest.param(None, ["experiment", "fig3", "--ratios", "1e307", "--trials", "5"],
+                 id="fig3-huge-ratio"),
+    pytest.param(None, ["experiment", "sliced-demo", "--trials", "0"], id="sliced-demo-trials"),
+    pytest.param(None, ["experiment", "figB1", "--shifts=1"], id="figB1-shifts"),
+    pytest.param(None, ["experiment", "fig2", "--shifts=1"], id="fig2-shifts"),
 ])
+@pytest.mark.filterwarnings("error")  # a bad input must stop before any numpy warning
 def test_bad_input_exits_2_with_message(capsys, monkeypatch, env_seed, argv):
     if env_seed is None:
         monkeypatch.delenv("SPIKEOT_SEED", raising=False)
@@ -148,6 +163,7 @@ def test_bad_input_exits_2_with_message(capsys, monkeypatch, env_seed, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("spikeot: ")
+    assert err.count("\n") == 1
 
 
 def test_experiment_figb1_small(capsys):

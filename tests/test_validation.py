@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spikeot import (
     DomainError,
+    SortedSamples,
     SpikeSeed,
+    binned_js_divergence,
+    directed_hausdorff,
     expected_distance,
     expected_distance_comparisons,
+    make_uniform_empirical,
     run_fig3_experiment,
     shift_comparisons,
     shifted_expected_distance,
@@ -15,7 +21,11 @@ from spikeot import (
     validate_expected_distance,
     validate_shift,
     validate_wasserstein_surface,
+    w1_general,
 )
+from spikeot.dissimilarity import _hausdorff_rows, _js_rows
+from spikeot.measures import _merge_rows
+from spikeot.transport import _w1_rows
 from spikeot.validation import harmonic_slice_check
 
 
@@ -162,7 +172,102 @@ def test_fig3_same_seed_is_deterministic():
 
 
 def test_fig3_validation():
-    with pytest.raises(DomainError):
-        run_fig3_experiment([1.0], [0.0], trials=0, seed=SpikeSeed(0))
-    with pytest.raises(DomainError):
-        run_fig3_experiment([1.0], [0.0], trials=5, seed=SpikeSeed(0), base_rate=-1.0)
+    for ratios, shifts, kwargs in [
+        ([1.0], [0.0], dict(trials=0)),
+        ([1.0], [0.0], dict(base_rate=-1.0)),
+        ([1.0], [0.0], dict(base_rate=math.inf)),
+        ([1.0], [0.0], dict(base_rate=1e30)),
+        ([1.0], [0.0], dict(bins=0, base_rate=0.01)),
+        ([1.0], [math.inf], {}),
+        ([1e307], [0.0], {}),
+        ([1e-300], [0.0], dict(base_rate=1e10)),
+        ([], [0.0], {}),
+        ([1.0], [], {}),
+    ]:
+        with pytest.raises(DomainError):
+            run_fig3_experiment(ratios, shifts, seed=SpikeSeed(0), **{"trials": 5, **kwargs})
+
+
+def _padded(trains):
+    rows = np.full((len(trains), max(1, *map(len, trains))), np.inf)
+    for row, train in zip(rows, trains):
+        row[:len(train)] = np.sort(train)
+    return rows, np.array([len(t) for t in trains], dtype=np.int64)
+
+
+_values = st.one_of(
+    st.integers(-4, 4).map(float),  # forces ties within and across trains
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+_trains = st.lists(_values, max_size=12)
+
+
+@given(st.lists(st.tuples(_trains, _trains), min_size=1, max_size=6), st.integers(1, 12))
+@example([([1.0], [1.0])], 10)  # equal single spikes: a one-point range
+@example([([0.0, 1.0], [5.0, 6.0]), ([2.0], [])], 3)  # disjoint supports, an empty train
+@settings(max_examples=300, deadline=None)
+def test_row_kernels_match_per_trial_functions(pairs, bins):
+    # the fig3 engine's layout: +inf-padded sorted rows, trials with an empty
+    # train dropped (one such trial is appended to every batch)
+    xs, nx = _padded([x for x, _ in pairs] + [[0.0]])
+    ys, ny = _padded([y for _, y in pairs] + [[]])
+    used = (nx > 0) & (ny > 0)
+    xs, ys, nx, ny = xs[used], ys[used], nx[used], ny[used]
+    z, from_y = _merge_rows(xs, ys)
+    w1 = _w1_rows(z, from_y, nx, ny)
+    hausdorff = _hausdorff_rows(z, from_y)
+    js = _js_rows(xs, ys, nx, ny, bins)
+    kept = [(x, y) for x, y in pairs if x and y]
+    assert len(kept) == nx.size
+    for t, (x, y) in enumerate(kept):
+        sx, sy = SortedSamples(x), SortedSamples(y)
+        assert w1[t] == pytest.approx(
+            w1_general(make_uniform_empirical(x), make_uniform_empirical(y)), rel=1e-12, abs=0.0)
+        assert hausdorff[t] == max(directed_hausdorff(sx, sy), directed_hausdorff(sy, sx))
+        assert js[t] == binned_js_divergence(sx, sy, bins)[0]
+
+
+def _replay_fig3_cell(r, shift, trials, seed, cell, base_rate, bins, order_stat):
+    """The per-trial route through the public functions, same draws as the engine."""
+    knee = 1.0 / (r + 1.0)
+    counts_x = seed.generator(cell, 0).poisson(base_rate, size=trials)
+    unis_x = seed.generator(cell, 1).random(int(counts_x.sum()))
+    counts_y = seed.generator(cell, 2).poisson(
+        lam=np.broadcast_to([r * base_rate * knee, (base_rate / r) * (1.0 - knee)], (trials, 2)))
+    unis_y = seed.generator(cell, 3).random(int(counts_y.sum()))
+    x_off = np.concatenate(([0], np.cumsum(counts_x)))
+    y_off = np.concatenate(([0], np.cumsum(counts_y.sum(axis=1))))
+    w1s, hausdorffs, js_totals, gaps = [], [], [], []
+    for t in range(trials):
+        x = np.sort(unis_x[x_off[t]:x_off[t + 1]])
+        raw = unis_y[y_off[t]:y_off[t + 1]]
+        n1 = counts_y[t, 0]
+        y = np.sort(np.concatenate((raw[:n1] * knee, knee + raw[n1:] * (1.0 - knee)))) + shift
+        if x.size == 0 or y.size == 0:
+            continue
+        sx, sy = SortedSamples(x), SortedSamples(y)
+        w1s.append(w1_general(make_uniform_empirical(x), make_uniform_empirical(y)))
+        hausdorffs.append(max(directed_hausdorff(sx, sy), directed_hausdorff(sy, sx)))
+        js_totals.append(binned_js_divergence(sx, sy, bins)[0])
+        if x.size >= order_stat and y.size >= order_stat:
+            gaps.append(abs(x[order_stat - 1] - y[order_stat - 1]))
+    means = [float(np.mean(v)) if v else math.nan for v in (w1s, hausdorffs, js_totals, gaps)]
+    return means, len(w1s), len(gaps)
+
+
+@pytest.mark.parametrize("base_rate, order_stat, trials", [(100.0, 50, 60), (0.5, 1, 300)])
+def test_fig3_cells_match_per_trial_replay(base_rate, order_stat, trials):
+    seed = SpikeSeed(31)
+    ratios, shifts = [1.0, math.exp(2)], [0.0, -1.5]
+    rows = run_fig3_experiment(ratios, shifts, trials, seed, base_rate=base_rate, bins=7,
+                               order_stat=order_stat)
+    cells = [(r, s) for r in ratios for s in shifts]
+    for cell, ((r, s), row) in enumerate(zip(cells, rows)):
+        means, used, ordered = _replay_fig3_cell(r, s, trials, seed, cell, base_rate, 7, order_stat)
+        assert (row.used_trials, row.order_gap_trials) == (used, ordered)
+        assert row.skipped_empty == trials - used
+        assert row.skipped_order == used - ordered
+        got = [row.mean_w1, row.mean_hausdorff, row.mean_js_total, row.mean_order_gap]
+        assert got == pytest.approx(means, rel=1e-12, abs=0.0, nan_ok=True)
+    if base_rate < 1.0:
+        assert all(0 < row.skipped_empty < trials for row in rows)
