@@ -125,12 +125,22 @@ def _js_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         )
 
 
+# bin edges per block of rows in _js_rows: its memory is then O(rows x train
+# length) plus a fixed amount, whatever the bin count (small blocks also run
+# faster at many bins: they stay in cache)
+_JS_BLOCK = 1 << 14
+
+
 def _js_rows(x: np.ndarray, y: np.ndarray, nx: np.ndarray, ny: np.ndarray, bins: int) -> np.ndarray:
     """Row-wise ``binned_js_divergence`` totals of sorted rows padded with +inf.
 
-    Merged ahead of a row's values at ties, interior edge j lands at position
-    j + #(values < edge j): the count ``np.histogram`` puts left of it.
+    Merged behind a row's interior edges at ties, value i lands at position
+    i + b, where b = #(edges <= value i) is the ``np.histogram`` bin counting it.
     """
+    step = max(1, _JS_BLOCK // bins)
+    if nx.size > step:
+        return np.concatenate([_js_rows(*(a[i:i + step] for a in (x, y, nx, ny)), bins)
+                               for i in range(0, nx.size, step)])
     rows = np.arange(nx.size)
     lo = np.minimum(x[:, 0], y[:, 0])
     hi = np.maximum(x[rows, nx - 1], y[rows, ny - 1])
@@ -139,10 +149,15 @@ def _js_rows(x: np.ndarray, y: np.ndarray, nx: np.ndarray, ny: np.ndarray, bins:
     masses = []
     for v, n in ((x[live], nx[live, None]), (y[live], ny[live, None])):
         order = np.argsort(np.concatenate((inner, v), axis=1), axis=1, kind="stable")
-        below = np.nonzero(order < bins - 1)[1].reshape(len(v), bins - 1) - np.arange(bins - 1)
-        masses.append(np.diff(below, prepend=0, append=n, axis=1) / n)
+        cols = np.arange(v.shape[1])
+        at = np.nonzero(order >= bins - 1)[1].reshape(v.shape) - cols + bins * rows[:len(v), None]
+        masses.append(np.bincount(at[cols < n], minlength=len(v) * bins).reshape(-1, bins) / n)
+    p, q = masses
+    hit = (p > 0.0) | (q > 0.0)  # only these bins contribute
+    per_bin = np.zeros_like(p)
+    per_bin[hit] = _js_terms(p[hit], q[hit])
     totals = np.zeros(nx.size)
-    totals[live] = _js_terms(*masses).sum(axis=1)
+    totals[live] = per_bin.sum(axis=1)
     return totals
 
 

@@ -106,11 +106,10 @@ def w1_general(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
 
 
 def _w1_rows(z: np.ndarray, from_y: np.ndarray, nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
-    """Row-wise ``w1_general`` of uniform measures, from ``_merge_rows`` output.
+    """Row-wise ``w1_general`` of uniform measures (to rounding), from ``_merge_rows``.
 
-    Integrates |F - G| over the merged gaps on the int64 ladder nx*ny*(F - G);
-    the +inf pads are clamped to the row's last value, so they span nothing.
-    Agrees with ``w1_general`` to rounding: the sums run in another order.
+    Integrates the int64 ladder nx*ny*(F - G) over the merged gaps; the +inf
+    pads are clamped to the row's last value, so they span nothing.
     """
     last = np.take_along_axis(z, (nx + ny - 1)[:, None], axis=1)
     ladder = np.cumsum(np.where(from_y, -nx[:, None], ny[:, None]), axis=1)[:, :-1]

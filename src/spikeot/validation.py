@@ -11,11 +11,9 @@ cell and every process gets its own substream, and draws are laid out
 trial-major, so results are bit-identical across runs, and extending the
 trial count never perturbs earlier trials.
 
-The fig3 experiment runs all trials of a cell in one array pass: each train
-is a row of a (trials, max count) array padded with +inf, and the row
-kernels beside ``w1_general``, ``directed_hausdorff`` and
-``binned_js_divergence`` reproduce those per-trial functions exactly, except
-W1, which sums in another order and agrees to 1e-12 relative.
+fig3 computes a cell's trials together, each train a row of an array padded
+with +inf; its row kernels match the per-trial functions bit for bit except
+W1, which sums in another order (1e-12 relative).
 """
 
 from __future__ import annotations
@@ -418,22 +416,18 @@ def run_fig3_experiment(
     is empty are skipped and counted; the order-statistic gap additionally
     requires ``order_stat`` events on both sides, with its own skip count.
     A cell's trials are computed together as +inf-padded rows, in memory
-    O(trials x (longest train + bins)); mean W1 matches the per-trial route
-    to 1e-12 relative, the other means bit for bit.
+    O(trials x longest train) for any bin count; mean W1 matches the
+    per-trial route to 1e-12 relative, the other means bit for bit.
     """
     if any(int(v) != v or v < 1 for v in (trials, bins, order_stat)):
         raise DomainError("trials, bins and order_stat must be integers >= 1")
-    if not (0.0 < base_rate <= _POISSON_LAM_MAX):
-        raise DomainError(f"base_rate must be positive and at most {_POISSON_LAM_MAX:.4g}")
     trials = int(trials)
     cells = [(float(r), float(dt)) for r in rate_ratios for dt in shifts]
-    if not cells:
-        raise DomainError("need at least one rate ratio and one shift")
-    # the two segments' Poisson means are below r*base_rate and base_rate/r
-    if not all(r > 0.0 and math.isfinite(r * base_rate) and math.isfinite(base_rate / r)
-               and math.isfinite(dt) for r, dt in cells):
-        raise DomainError("rate ratios must be positive, with r*base_rate and base_rate/r "
-                          "finite, and shifts finite")
+    # a cell's Poisson means are at most max(r * base_rate, base_rate / r)
+    if not (base_rate > 0.0 and cells and all(r > 0.0 and math.isfinite(dt) and max(
+            r * base_rate, base_rate / r) <= _POISSON_LAM_MAX for r, dt in cells)):
+        raise DomainError("need base_rate > 0, a ratio, a shift, finite shifts and ratios r > 0 "
+                          f"with max(r * base_rate, base_rate / r) <= {_POISSON_LAM_MAX:.4g}")
     return [
         _two_segment_cell(r, dt, trials, seed, idx, float(base_rate), int(bins), int(order_stat))
         for idx, (r, dt) in enumerate(cells)

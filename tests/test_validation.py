@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,7 +256,8 @@ def _replay_fig3_cell(r, shift, trials, seed, cell, base_rate, bins, order_stat)
     return means, len(w1s), len(gaps)
 
 
-@pytest.mark.parametrize("base_rate, order_stat, trials", [(100.0, 50, 60), (0.5, 1, 300)])
+@pytest.mark.parametrize("base_rate, order_stat, trials",
+                         [(100.0, 50, 60), (0.5, 1, 300), (0.01, 1, 5)])
 def test_fig3_cells_match_per_trial_replay(base_rate, order_stat, trials):
     seed = SpikeSeed(31)
     ratios, shifts = [1.0, math.exp(2)], [0.0, -1.5]
@@ -269,5 +271,25 @@ def test_fig3_cells_match_per_trial_replay(base_rate, order_stat, trials):
         assert row.skipped_order == used - ordered
         got = [row.mean_w1, row.mean_hausdorff, row.mean_js_total, row.mean_order_gap]
         assert got == pytest.approx(means, rel=1e-12, abs=0.0, nan_ok=True)
-    if base_rate < 1.0:
+    if base_rate == 0.5:  # some trials empty
         assert all(0 < row.skipped_empty < trials for row in rows)
+    if base_rate == 0.01:  # every trial empty: all four means are NaN
+        assert all(row.used_trials == 0 for row in rows)
+        assert all(math.isnan(v) for row in rows for v in
+                   (row.mean_w1, row.mean_hausdorff, row.mean_js_total, row.mean_order_gap))
+
+
+def _fig3_peak_bytes(trials, bins):
+    tracemalloc.start()
+    try:
+        run_fig3_experiment([2.0], [0.5], trials, SpikeSeed(5), base_rate=5.0, bins=bins,
+                            order_stat=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fig3_memory_does_not_grow_with_trials_times_bins():
+    # the binned-JS kernel runs in blocks of rows, so at many bins its peak is
+    # one block's, whatever the trial count
+    assert _fig3_peak_bytes(64, 5000) < 1.5 * _fig3_peak_bytes(16, 5000)
