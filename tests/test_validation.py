@@ -182,6 +182,7 @@ def test_fig3_validation():
         ([1.0], [math.inf], {}),
         ([1e307], [0.0], {}),
         ([1e-300], [0.0], dict(base_rate=1e10)),
+        ([100.0], [0.0], dict(base_rate=1e18)),  # r * base_rate above numpy's Poisson limit
         ([], [0.0], {}),
         ([1.0], [], {}),
     ]:
