@@ -125,22 +125,12 @@ def _js_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         )
 
 
-# bin edges per block of rows in _js_rows: its memory is then O(rows x train
-# length) plus a fixed amount, whatever the bin count (small blocks also run
-# faster at many bins: they stay in cache)
-_JS_BLOCK = 1 << 14
-
-
 def _js_rows(x: np.ndarray, y: np.ndarray, nx: np.ndarray, ny: np.ndarray, bins: int) -> np.ndarray:
     """Row-wise ``binned_js_divergence`` totals of sorted rows padded with +inf.
 
     Merged behind a row's interior edges at ties, value i lands at position
     i + b, where b = #(edges <= value i) is the ``np.histogram`` bin counting it.
     """
-    step = max(1, _JS_BLOCK // bins)
-    if nx.size > step:
-        return np.concatenate([_js_rows(*(a[i:i + step] for a in (x, y, nx, ny)), bins)
-                               for i in range(0, nx.size, step)])
     rows = np.arange(nx.size)
     lo = np.minimum(x[:, 0], y[:, 0])
     hi = np.maximum(x[rows, nx - 1], y[rows, ny - 1])

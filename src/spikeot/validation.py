@@ -11,7 +11,7 @@ cell and every process gets its own substream, and draws are laid out
 trial-major, so results are bit-identical across runs, and extending the
 trial count never perturbs earlier trials.
 
-fig3 computes a cell's trials together, each train a row of an array padded
+fig3 computes a cell's trials in blocks, each train a row of an array padded
 with +inf; its row kernels match the per-trial functions bit for bit except
 W1, which sums in another order (1e-12 relative).
 """
@@ -355,6 +355,30 @@ def _mean(values: np.ndarray) -> float:
     return float(values.mean()) if values.size else math.nan
 
 
+# array elements, rows x (bins + both trains' longest), per block of a fig3
+# cell's trials (one trial at least): a block stays in cache and in the heap;
+# whole-cell arrays are handed back to the OS and faulted in again every cell
+_BLOCK = 1 << 13
+
+
+def _trial_rows(flat_x, nx, flat_y, counts_y, knee, shift, bins, k):
+    """W1, Hausdorff, JS and order gaps of consecutive trials, skipping empty trains."""
+    ny = counts_y.sum(axis=1)
+    cols = np.arange(ny.max())
+    # a trial's first counts_y[t, 0] uniforms land on [0, knee], the rest on [knee, 1]
+    low = (cols < counts_y[:, :1])[cols < ny[:, None]]
+    flat_y = np.where(low, flat_y * knee, knee + flat_y * (1.0 - knee))
+    used = (nx > 0) & (ny > 0)
+    xs = np.sort(_pad_rows(flat_x, nx)[used], axis=1)
+    ys = np.sort(_pad_rows(flat_y, ny)[used], axis=1) + shift
+    nx, ny = nx[used], ny[used]
+    z, from_y = _merge_rows(xs, ys)
+    ordered = (nx >= k) & (ny >= k)
+    gaps = np.abs(xs[ordered, k - 1] - ys[ordered, k - 1]) if ordered.any() else np.empty(0)
+    return (_w1_rows(z, from_y, nx, ny), _hausdorff_rows(z, from_y),
+            _js_rows(xs, ys, nx, ny, bins), gaps)
+
+
 def _two_segment_cell(rate_ratio, shift, trials, seed, cell_index, base_rate, bins, order_stat):
     r = float(rate_ratio)
     knee = 1.0 / (r + 1.0)
@@ -369,32 +393,26 @@ def _two_segment_cell(rate_ratio, shift, trials, seed, cell_index, base_rate, bi
     unis_y = seed.generator(cell_index, 3).random(int(counts_y.sum()))
 
     ny = counts_y.sum(axis=1)
-    cols = np.arange(ny.max(initial=1))
-    # a trial's first counts_y[t, 0] uniforms land on [0, knee], the rest on [knee, 1]
-    low = (cols < counts_y[:, :1])[cols < ny[:, None]]
-    ys = _pad_rows(np.where(low, unis_y * knee, knee + unis_y * (1.0 - knee)), ny)
-    xs = _pad_rows(unis_x, nx)
-    used = (nx > 0) & (ny > 0)
-    nx, ny = nx[used], ny[used]
-    xs = np.sort(xs[used], axis=1)
-    ys = np.sort(ys[used], axis=1) + shift
-
-    z, from_y = _merge_rows(xs, ys)
-    k = order_stat
-    ordered = (nx >= k) & (ny >= k)
-    order_gaps = np.abs(xs[ordered, k - 1] - ys[ordered, k - 1]) if ordered.any() else np.empty(0)
+    x_off, y_off = (np.concatenate(([0], np.cumsum(n))) for n in (nx, ny))
+    step = max(1, _BLOCK // (bins + int(nx.max()) + int(ny.max())))
+    blocks = []
+    for i in range(0, trials, step):
+        j = min(i + step, trials)
+        blocks.append(_trial_rows(unis_x[x_off[i]:x_off[j]], nx[i:j], unis_y[y_off[i]:y_off[j]],
+                                  counts_y[i:j], knee, shift, bins, order_stat))
+    w1, hausdorff, js, gaps = (np.concatenate(v) for v in zip(*blocks))
     return Fig3Row(
         rate_ratio=r,
         shift=float(shift),
-        mean_w1=_mean(_w1_rows(z, from_y, nx, ny)),
-        mean_hausdorff=_mean(_hausdorff_rows(z, from_y)),
-        mean_js_total=_mean(_js_rows(xs, ys, nx, ny, bins)),
-        mean_order_gap=_mean(order_gaps),
+        mean_w1=_mean(w1),
+        mean_hausdorff=_mean(hausdorff),
+        mean_js_total=_mean(js),
+        mean_order_gap=_mean(gaps),
         trials=trials,
-        used_trials=nx.size,
-        order_gap_trials=order_gaps.size,
-        skipped_order=nx.size - order_gaps.size,
-        skipped_empty=trials - nx.size,
+        used_trials=w1.size,
+        order_gap_trials=gaps.size,
+        skipped_order=w1.size - gaps.size,
+        skipped_empty=trials - w1.size,
     )
 
 
@@ -415,9 +433,10 @@ def run_fig3_experiment(
     base_rate for every r), then shifts rigidly.  Trials where either train
     is empty are skipped and counted; the order-statistic gap additionally
     requires ``order_stat`` events on both sides, with its own skip count.
-    A cell's trials are computed together as +inf-padded rows, in memory
-    O(trials x longest train) for any bin count; mean W1 matches the
-    per-trial route to 1e-12 relative, the other means bit for bit.
+    A cell's trials are computed in blocks of +inf-padded rows, each block
+    at most 8192 array elements or one trial, so memory does not grow with
+    the trial count; mean W1 matches the per-trial route to 1e-12 relative,
+    the other means bit for bit.
     """
     if any(int(v) != v or v < 1 for v in (trials, bins, order_stat)):
         raise DomainError("trials, bins and order_stat must be integers >= 1")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spikeot import validation
 from spikeot import (
     DomainError,
     SortedSamples,
@@ -257,9 +258,14 @@ def _replay_fig3_cell(r, shift, trials, seed, cell, base_rate, bins, order_stat)
     return means, len(w1s), len(gaps)
 
 
-@pytest.mark.parametrize("base_rate, order_stat, trials",
-                         [(100.0, 50, 60), (0.5, 1, 300), (0.01, 1, 5)])
-def test_fig3_cells_match_per_trial_replay(base_rate, order_stat, trials):
+@pytest.mark.parametrize("base_rate, order_stat, trials, block", [
+    (100.0, 50, 60, None), (0.5, 1, 300, None), (0.01, 1, 5, None),
+    # one trial per block: blocks of one row, many with an empty train
+    (100.0, 50, 60, 1), (0.5, 1, 300, 1),
+])
+def test_fig3_cells_match_per_trial_replay(base_rate, order_stat, trials, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(validation, "_BLOCK", block)
     seed = SpikeSeed(31)
     ratios, shifts = [1.0, math.exp(2)], [0.0, -1.5]
     rows = run_fig3_experiment(ratios, shifts, trials, seed, base_rate=base_rate, bins=7,
@@ -291,6 +297,6 @@ def _fig3_peak_bytes(trials, bins):
 
 
 def test_fig3_memory_does_not_grow_with_trials_times_bins():
-    # the binned-JS kernel runs in blocks of rows, so at many bins its peak is
-    # one block's, whatever the trial count
+    # a cell's trials run in blocks of rows, so at many bins its peak is one
+    # block's, whatever the trial count
     assert _fig3_peak_bytes(64, 5000) < 1.5 * _fig3_peak_bytes(16, 5000)
