@@ -6,9 +6,7 @@ so the two can cross-validate each other.
 """
 
 from .closed_form import (
-    BinomialAbsDeviation,
     ClosedFormMoment,
-    binom_abs_expectation,
     expected_distance,
     expected_distance_time_varying,
     expected_wasserstein,

@@ -2,19 +2,18 @@
 
 The k-th arrival of a homogeneous process with rate r is Erlang(k, r).  For
 two independent processes the expected absolute gap between the k-th and l-th
-arrivals reduces to a binomial mean absolute deviation:
+arrivals reduces to a binomial mean absolute deviation (MAD):
 
     E|x_k - y_l| = (r1 + r2) / (r1 r2) * E_{i ~ Bin(k+l, p)} |k - i|,
     p = r1 / (r1 + r2),
 
-and the second moment is elementary, giving the variance.  A rigid support
-shift dt adds Poisson-weighted correction terms that decay like exp(-r2 * dt)
-for dt > 0; for dt < 0 the two processes swap roles and the terms decay like
-exp(-r1 * |dt|).
-For time-varying rates no closed form is attempted: the substitution
-u = m(x), v = n(y) turns the expectation into a Gamma-weighted double
-integral over the inverse cumulative intensities, evaluated by adaptive
-quadrature.
+which de Moivre's form (Diaconis & Zabell 1991) gives in O(1) for any k, l.
+The second moment is elementary, giving the variance.  A rigid support shift
+dt adds Poisson-weighted negative-binomial terms that decay like
+exp(-r2 * dt) for dt > 0; for dt < 0 the processes swap roles and the terms
+decay like exp(-r1 * |dt|).  For time-varying rates the k-th arrival has CDF
+gammainc(k, m(t)), and the moments are 1D integrals over these CDFs
+(Szekely & Rizzo, Energy statistics, 2013), by adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from .poisson import RateFunction
 
 __all__ = [
     "ClosedFormMoment",
-    "BinomialAbsDeviation",
-    "binom_abs_expectation",
     "expected_distance",
     "expected_wasserstein",
     "shifted_expected_distance",
@@ -55,38 +52,49 @@ class ClosedFormMoment:
         return math.sqrt(self.variance)
 
 
-@dataclass(frozen=True)
-class BinomialAbsDeviation:
-    """E_{i ~ Bin(n, p)} |center - i|, the combinatorial core of the gap formulas."""
-
-    n: int
-    p: float
-    center: int
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise DomainError("n must be an integer >= 1")
-        if not (0.0 < self.p < 1.0):
-            raise DomainError("p must lie strictly inside (0, 1)")
-        if int(self.center) != self.center or not (1 <= self.center <= self.n):
-            raise DomainError("center must be an integer in [1, n]")
+def _stirlerr(n):
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for n >= 1 (Loader 2000)."""
+    nn = n * n
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+    # below 16 the series' first omitted term exceeds 1e-16
+    direct = special.gammaln(n + 1.0) - (n + 0.5) * np.log(n) + n - 0.5 * math.log(2.0 * math.pi)
+    return np.where(n < 16.0, direct, series)
 
 
-def binom_abs_expectation(b: BinomialAbsDeviation) -> float:
-    """Exact term-by-term sum of |center - i| under Bin(n, p).
+def _bd0(x, m):
+    """x log(x/m) + m - x, without cancellation near x = m (Loader 2000)."""
+    d = x - m
+    v = d / (x + m)
+    near, term, v2 = d * v, 2.0 * x * v, v * v
+    for j in range(3, 27, 2):  # used where |v| < 0.1: each term 100x below the last
+        term = term * v2
+        near = near + term / j
+    return np.where(np.abs(v) < 0.1, near, x * np.log(x / m) - d)
 
-    Each probability is exponentiated from log-gamma binomial coefficients,
-    so the sum is deterministic and accurate for n well beyond 10^4.
+
+def _binom_mad(c, n, p, q):
+    """E|X - c| for X ~ Bin(n, p), elementwise, integers 0 < c < n, q = 1 - p.
+
+    de Moivre: (c - np)(2 P[X < c] - 1) + 2 c q b(c; n, p), with P[X < c] =
+    I_q(n - c + 1, c) and Loader's saddle-point pmf b: about 1e-14 relative at
+    n = 2e6, where ``bdtr`` and a log-gamma pmf lose up to 1e-9.
     """
-    i = np.arange(b.n + 1)
-    log_pmf = (
-        special.gammaln(b.n + 1)
-        - special.gammaln(i + 1)
-        - special.gammaln(b.n - i + 1)
-        + i * math.log(b.p)
-        + (b.n - i) * math.log1p(-b.p)
-    )
-    return float(np.sum(np.exp(log_pmf) * np.abs(b.center - i)))
+    c, rest = np.asarray(c, dtype=float), np.asarray(n - c, dtype=float)
+    n = c + rest
+    log_pmf = _stirlerr(n) - _stirlerr(c) - _stirlerr(rest) - _bd0(c, n * p) - _bd0(rest, n * q)
+    pmf = np.exp(log_pmf) / np.sqrt(2.0 * math.pi * c * rest / n)
+    return (c - n * p) * (2.0 * special.betainc(rest + 1.0, c, q) - 1.0) + 2.0 * c * q * pmf
+
+
+def _gap_mean(rate1, rate2, k, l):
+    """E|x_k - y_l| elementwise; each element is put in the order (rate1, k) <=
+    (rate2, l), so that swapping the processes gives bitwise the same value."""
+    rate1, rate2, k, l = np.broadcast_arrays(rate1, rate2, k, l)
+    swap = (rate1 > rate2) | ((rate1 == rate2) & (k > l))
+    r1, r2 = np.where(swap, rate2, rate1), np.where(swap, rate1, rate2)
+    k, l = np.where(swap, l, k), np.where(swap, k, l)
+    s = r1 + r2
+    return s / (r1 * r2) * _binom_mad(k, k + l, r1 / s, r2 / s)
 
 
 def _check_rates_orders(rate1, rate2, k, l):
@@ -94,8 +102,8 @@ def _check_rates_orders(rate1, rate2, k, l):
         if not (r > 0.0) or not np.isfinite(r):
             raise DomainError("rates must be positive and finite")
     for order in (k, l):
-        if int(order) != order or order < 1:
-            raise DomainError("arrival orders must be integers >= 1")
+        if int(order) != order or not 1 <= order <= 2**53:
+            raise DomainError("arrival orders must be integers from 1 to 2^53, exact as floats")
 
 
 def expected_distance(rate1: float, rate2: float, k: int, l: int) -> ClosedFormMoment:
@@ -106,15 +114,8 @@ def expected_distance(rate1: float, rate2: float, k: int, l: int) -> ClosedFormM
     Symmetric under swapping (rate1, k) with (rate2, l).
     """
     _check_rates_orders(rate1, rate2, k, l)
-    k = int(k)
-    l = int(l)
-    if (rate1, k) > (rate2, l):
-        # canonical argument order makes the symmetry bitwise exact
-        rate1, rate2, k, l = rate2, rate1, l, k
-    p = rate1 / (rate1 + rate2)
-    mean = (rate1 + rate2) / (rate1 * rate2) * binom_abs_expectation(
-        BinomialAbsDeviation(n=k + l, p=p, center=k)
-    )
+    k, l = int(k), int(l)
+    mean = float(_gap_mean(float(rate1), float(rate2), k, l))
     second = k / rate1**2 + l / rate2**2 + (k / rate1 - l / rate2) ** 2
     return ClosedFormMoment(mean=mean, variance=max(second - mean * mean, 0.0))
 
@@ -126,9 +127,9 @@ def expected_wasserstein(rate1: float, rate2: float, n_samples: int) -> float:
     """
     if int(n_samples) != n_samples or n_samples < 1:
         raise DomainError("sample count must be an integer >= 1")
-    n_samples = int(n_samples)
-    terms = [expected_distance(rate1, rate2, k, k).mean for k in range(1, n_samples + 1)]
-    return math.fsum(terms) / n_samples
+    _check_rates_orders(rate1, rate2, 1, 1)
+    k = np.arange(1, int(n_samples) + 1)
+    return math.fsum(_gap_mean(float(rate1), float(rate2), k, k)) / int(n_samples)
 
 
 def shifted_expected_distance(
@@ -136,16 +137,18 @@ def shifted_expected_distance(
 ) -> ClosedFormMoment:
     """Moments of |x_k + shift - y_l| under a rigid support shift.
 
-    For shift >= 0 the mean is
+    For shift >= 0, with p = r1/(r1+r2), q = 1 - p and lam = r2 dt, the mean is
 
-        (k/r1 - l/r2 + dt) * (1 - 2 P[Pois(r2 dt) <= l-1])
-        + 2 sum_{i<k} sum_{j<l} C(i+j, i) pois(l-1-j; r2 dt)
-              (k-i) r1^(i-1) r2^(j+1) / (r1+r2)^(i+j+1)
-        + 2 dt pois(l-1; r2 dt),
+        (k/r1 - l/r2 + dt) * (1 - 2 P[Pois(lam) <= l-1])
+        + 2 sum_{j<l} pois(l-1-j; lam) S_j + 2 dt pois(l-1; lam),
+        S_j = [k NB(k-1; j+1, q) - (j+1) (p/q) NB(k-2; j+2, q)] / r1,
 
-    and a negative shift swaps (rate1, k) with (rate2, l).  At shift = 0 this
-    reduces exactly to ``expected_distance``.  For k = l = 1, memorylessness
-    gives the gap to the linear asymptote exactly:
+    NB(i; n, q) = I_q(n, i + 1) being the chance of at most i failures before
+    the n-th success.  The sum skips the j whose Poisson weight is below
+    e^-800 (l-1-j beyond lam +- (40 sqrt(lam) + 10)).  A negative shift swaps
+    (rate1, k) with (rate2, l).  At shift = 0 this reduces exactly to
+    ``expected_distance``.  For k = l = 1, memorylessness gives the gap to the
+    linear asymptote exactly:
 
         E|x_1 + dt - y_1| = dt + 1/r1 - 1/r2 + 2 r1 / (r2 (r1+r2)) exp(-r2 dt),
                             dt > 0,
@@ -155,39 +158,32 @@ def shifted_expected_distance(
     _check_rates_orders(rate1, rate2, k, l)
     if not np.isfinite(shift):
         raise DomainError("shift must be finite")
-    k = int(k)
-    l = int(l)
+    k, l = int(k), int(l)
     if shift == 0.0:
         return expected_distance(rate1, rate2, k, l)
     if shift < 0.0:
         rate1, rate2, k, l, shift = rate2, rate1, l, k, -shift
 
     lam = rate2 * shift
-    log_lam = math.log(lam)
 
-    def pois_pmf(j):
-        j = np.asarray(j)
-        return np.exp(j * log_lam - lam - special.gammaln(j + 1))
+    def pois_pmf(m):
+        return np.exp(special.xlogy(m, lam) - lam - special.gammaln(m + 1.0))
 
-    drift = k / rate1 - l / rate2 + shift
-    term1 = drift * (1.0 - 2.0 * special.pdtr(l - 1, lam))
+    term1 = (k / rate1 - l / rate2 + shift) * (1.0 - 2.0 * special.pdtr(l - 1, lam))
 
-    i = np.arange(k)[:, None]
-    j = np.arange(l)[None, :]
-    log_terms = (
-        special.gammaln(i + j + 1)
-        - special.gammaln(i + 1)
-        - special.gammaln(j + 1)
-        + ((l - 1 - j) * log_lam - lam - special.gammaln(l - j))
-        + np.log(k - i)
-        + (i - 1) * math.log(rate1)
-        + (j + 1) * math.log(rate2)
-        - (i + j + 1) * math.log(rate1 + rate2)
-    )
-    term2 = 2.0 * float(np.sum(np.exp(log_terms)))
+    reach = 40.0 * math.sqrt(lam) + 10.0
+    lo, hi = max(0, math.ceil(lam - reach)), min(l - 1, math.floor(lam + reach))
+    if hi - lo >= 10**7:
+        raise DomainError(f"shift {shift!r} needs {hi - lo + 1} Poisson terms, over 10^7")
+    j = l - 1 - np.arange(lo, hi + 1)
+    p, q = rate1 / (rate1 + rate2), rate2 / (rate1 + rate2)
+    s_j = k * special.betainc(j + 1.0, k, q)
+    if k > 1:
+        s_j = s_j - (j + 1) * (p / q) * special.betainc(j + 2.0, k - 1.0, q)
+    term2 = 2.0 * math.fsum(pois_pmf(l - 1 - j) * s_j) / rate1
     term3 = 2.0 * shift * float(pois_pmf(l - 1))
 
-    mean = term1 + term2 + term3
+    mean = float(term1 + term2 + term3)
     second = (
         k / rate1**2
         + l / rate2**2
@@ -226,14 +222,15 @@ def expected_distance_time_varying(
     power: int = 1,
     rel_tol: float = 1e-6,
 ) -> float:
-    """E|x_k - y_l|^power for nonhomogeneous processes, by 2D adaptive quadrature.
+    """E|x_k - y_l|^power for nonhomogeneous processes, by 1D adaptive quadrature.
 
-    Substituting u = m(x), v = n(y) maps the arrivals to unit-rate Gamma
-    variables, so the target is the Gamma(k) x Gamma(l) weighted integral of
-    |m^-1(u) - n^-1(v)|^power.  The domain is truncated where the Gamma tails
-    drop below GAMMA_TAIL; a rate function whose total intensity ends inside
-    that effective mass cannot be inverted far enough and is rejected.
-    Reduces to ``expected_distance`` for constant rates and power = 1.
+    The k-th arrival X has CDF F(t) = P(Gamma(k) <= m(t)) = gammainc(k, m(t)).
+    For independent X and Y, E|X - Y| = integral of F(1 - G) + G(1 - F) dt and
+    E(X - Y)^2 = EX^2 + EY^2 - 2 EX EY.  Gamma(k) is cut off where its tail
+    drops below GAMMA_TAIL; a rate function whose total intensity ends inside
+    that mass is rejected.  The integrals break at the rate breakpoints and
+    both cutoffs; the result is within ``rel_tol`` relative.  Reduces to
+    ``expected_distance`` for constant rates and power = 1.
     """
     if int(k) != k or int(l) != l or k < 1 or l < 1:
         raise DomainError("arrival orders must be integers >= 1")
@@ -242,52 +239,42 @@ def expected_distance_time_varying(
     # the only user of scipy.integrate: importing it here keeps it out of `import spikeot`
     from scipy import integrate
 
-    k = int(k)
-    l = int(l)
-
-    u_hi = float(special.gammainccinv(k, GAMMA_TAIL))
-    v_hi = float(special.gammainccinv(l, GAMMA_TAIL))
+    k, l = int(k), int(l)
+    u_hi, v_hi = (float(special.gammainccinv(n, GAMMA_TAIL)) for n in (k, l))
     for rate_fn, bound, name in ((mu, u_hi, "mu"), (nu, v_hi, "nu")):
         if rate_fn.total_intensity < bound:
             raise IntensityExhausted(
                 f"{name} has total intensity {rate_fn.total_intensity!r}, below the "
                 f"effective Gamma mass bound {bound!r}"
             )
+    tx, ty = float(mu.inverse_cumulative(u_hi)), float(nu.inverse_cumulative(v_hi))
+    fa, gb = float(special.gammainc(k, u_hi)), float(special.gammainc(l, v_hi))
+    cuts = {tx, ty}.union(*(f.breakpoints.tolist() for f in (mu, nu) if f.kind != "constant"))
 
-    def interior_cuts(rate_fn, upper):
-        if rate_fn.kind == "constant":
-            return []
-        cuts = rate_fn.cumulative(np.maximum(rate_fn.breakpoints, 0.0))
-        return sorted({float(c) for c in cuts if 0.0 < c < upper})
+    def cdf(rate_fn, n, u):
+        return lambda t: float(special.gammainc(n, min(rate_fn.cumulative(t), u)))
 
-    u_cuts = interior_cuts(mu, u_hi)
-    v_cuts = interior_cuts(nu, v_hi)
+    def quad(f, hi, tol):
+        inner = sorted(c for c in cuts if 0.0 < c < hi)
+        return integrate.quad(f, 0.0, hi, points=inner or None, limit=200,
+                              epsabs=1e-14, epsrel=tol)[0]
 
-    def inner(v: float) -> float:
-        y = nu.inverse_cumulative(v)
-
-        def f(u):
-            gap = mu.inverse_cumulative(u) - y
-            w = abs(gap) if power == 1 else gap * gap
-            return w * math.exp((k - 1) * math.log(u) - u - special.gammaln(k)) if u > 0 else 0.0
-
-        pts = list(u_cuts)
-        if power == 1:
-            # kink where the integrand's absolute value switches sign
-            kink = mu.cumulative(y) if y >= 0.0 else 0.0
-            if 0.0 < kink < u_hi:
-                pts.append(kink)
-        val, _ = integrate.quad(
-            f, 0.0, u_hi, points=sorted(pts) or None, limit=200,
-            epsabs=1e-14, epsrel=rel_tol / 10.0,
-        )
-        return val
-
-    def outer(v):
-        return inner(v) * math.exp((l - 1) * math.log(v) - v - special.gammaln(l)) if v > 0 else 0.0
-
-    val, _ = integrate.quad(
-        outer, 0.0, v_hi, points=v_cuts or None, limit=200,
-        epsabs=1e-14, epsrel=rel_tol,
-    )
-    return float(val)
+    cdf_x, cdf_y = cdf(mu, k, u_hi), cdf(nu, l, v_hi)
+    tol = rel_tol / 10.0
+    if power == 1:
+        def gap_density(t):
+            a, b = cdf_x(t), cdf_y(t)
+            return a * (gb - b) + b * (fa - a)
+        return float(quad(gap_density, max(tx, ty), tol))
+    while True:
+        ex = quad(lambda t: fa - cdf_x(t), tx, tol)
+        ey = quad(lambda t: gb - cdf_y(t), ty, tol)
+        ex2 = quad(lambda t: 2.0 * t * (fa - cdf_x(t)), tx, tol)
+        ey2 = quad(lambda t: 2.0 * t * (gb - cdf_y(t)), ty, tol)
+        bulk = ex2 * gb + ey2 * fa
+        value = bulk - 2.0 * ex * ey
+        # the terms cancel by the factor bulk / value: tighten their tolerance
+        # until their joint error is within rel_tol of the value
+        if 2.0 * tol * bulk <= rel_tol * value or tol <= 1e-13:
+            return float(value)
+        tol = max(rel_tol * value / (4.0 * bulk), 1e-13)

@@ -25,8 +25,9 @@ import numpy as np
 
 from .closed_form import (
     ClosedFormMoment,
+    _check_rates_orders,
+    _gap_mean,
     expected_distance,
-    expected_wasserstein,
     limiting_normalized_distance,
     shifted_expected_distance,
 )
@@ -262,13 +263,21 @@ class SurfaceValidation:
         return all(s.passed for s in self.slice_checks)
 
 
-def _surface_cell(rate1, rate2, n_samples, trials, seed, cell_index, threshold):
+def _wasserstein_sums(rate1, rate2, n_samples):
+    """N E[W] per pair of rate arrays: one gap-mean call per block of at most 2^16 gaps."""
+    k = np.arange(1, n_samples + 1)
+    step = max(1, (1 << 16) // n_samples)
+    return np.array([math.fsum(row) for i in range(0, rate1.size, step)
+                     for row in _gap_mean(rate1[i:i + step, None], rate2[i:i + step, None], k, k)])
+
+
+def _surface_cell(rate1, rate2, closed, n_samples, trials, seed, cell_index, threshold):
     x = np.cumsum(seed.generator(cell_index, 0).standard_exponential((trials, n_samples)), axis=1) / rate1
     y = np.cumsum(seed.generator(cell_index, 1).standard_exponential((trials, n_samples)), axis=1) / rate2
     w = np.abs(x - y).mean(axis=1)
     return _report(
         f"expected_wasserstein[rate1={rate1:g},rate2={rate2:g}]",
-        expected_wasserstein(rate1, rate2, n_samples),
+        closed,
         float(w.mean()),
         float(w.std(ddof=1)) / math.sqrt(trials),
         trials,
@@ -291,8 +300,8 @@ def harmonic_slice_check(
     c = float(harmonic_mean)
     t = c * np.exp(np.linspace(-half_width, half_width, points))
     partner = c * t / (2.0 * t - c)
-    values = [expected_wasserstein(t_i, p_i, n_samples) for t_i, p_i in zip(t, partner)]
-    argmin = int(np.argmin(values))
+    _check_rates_orders(float(t.min()), float(partner.min()), n_samples, 1)
+    argmin = int(np.argmin(_wasserstein_sums(t, partner, int(n_samples))))
     center = points // 2
     return HarmonicSliceCheck(
         harmonic_mean=c, argmin_index=argmin, center_index=center,
@@ -316,8 +325,9 @@ def validate_wasserstein_surface(
         raise DomainError("rates must be positive and finite")
     n_samples = int(n_samples)
     grid = [(r1, r2) for r1 in rates for r2 in rates]
+    closed = (_wasserstein_sums(*np.array(grid).reshape(-1, 2).T, n_samples) / n_samples).tolist()
     cells = [
-        _surface_cell(r1, r2, n_samples, trials, seed, idx, threshold)
+        _surface_cell(r1, r2, closed[idx], n_samples, trials, seed, idx, threshold)
         for idx, (r1, r2) in enumerate(grid)
     ]
     slices = [harmonic_slice_check(c, n_samples) for c in rates]
@@ -386,11 +396,14 @@ def _two_segment_cell(rate_ratio, shift, trials, seed, cell_index, base_rate, bi
     mass2 = (base_rate / r) * (1.0 - knee)
 
     nx = seed.generator(cell_index, 0).poisson(base_rate, size=trials)
-    unis_x = seed.generator(cell_index, 1).random(int(nx.sum()))
     counts_y = seed.generator(cell_index, 2).poisson(
         lam=np.broadcast_to([mass1, mass2], (trials, 2))
     )
-    unis_y = seed.generator(cell_index, 3).random(int(counts_y.sum()))
+    try:
+        unis_x = seed.generator(cell_index, 1).random(int(nx.sum()))
+        unis_y = seed.generator(cell_index, 3).random(int(counts_y.sum()))
+    except MemoryError:
+        raise DomainError(f"base rate {base_rate:g} needs more spikes than memory holds") from None
 
     ny = counts_y.sum(axis=1)
     x_off, y_off = (np.concatenate(([0], np.cumsum(n))) for n in (nx, ny))

@@ -107,6 +107,19 @@ def test_closed_form_command(capsys):
     assert rows[0]["mean"] == pytest.approx(10.5, rel=1e-6)
 
 
+@pytest.mark.parametrize("extra, drift", [([], 0.0), (["--shift", "3"], 3.0)],
+                         ids=["unshifted", "shifted"])
+@pytest.mark.filterwarnings("error")
+def test_closed_form_huge_orders(capsys, extra, drift):
+    # k = l = 10^9: the gap is k (1/0.3 - 1/0.8) + shift, to within e^-(10^8)
+    code, out, err = run_cli(capsys, "closed-form", "0.3", "0.8", "1000000000", "1000000000",
+                             *extra)
+    assert (code, err) == (0, "")
+    _, rows = read_table(out)
+    assert len(rows) == 1
+    assert rows[0]["mean"] == pytest.approx(1e9 * 25 / 12 + drift, rel=1e-14)
+
+
 def test_closed_form_domain_error_exit(capsys):
     code, _, err = run_cli(capsys, "closed-form", "0", "2", "1", "1")
     assert code == 2
@@ -152,6 +165,10 @@ def test_threads_flag_is_gone(capsys):
     pytest.param(None, ["experiment", "sliced-demo", "--trials", "0"], id="sliced-demo-trials"),
     pytest.param(None, ["experiment", "figB1", "--shifts=1"], id="figB1-shifts"),
     pytest.param(None, ["experiment", "fig2", "--shifts=1"], id="fig2-shifts"),
+    pytest.param(None, ["closed-form", "1", "2", "100000000000000000000", "1"],
+                 id="closed-form-order-beyond-2-53"),
+    pytest.param(None, ["experiment", "fig3", "--base-rate", "1e15", "--trials", "1",
+                        "--ratios", "1", "--shifts", "0"], id="fig3-base-rate-beyond-memory"),
 ])
 @pytest.mark.filterwarnings("error")  # a bad input must stop before any numpy warning
 def test_bad_input_exits_2_with_message(capsys, monkeypatch, env_seed, argv):

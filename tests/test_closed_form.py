@@ -1,17 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from spikeot import (
-    BinomialAbsDeviation,
     DegenerateLimit,
     DomainError,
     IntensityExhausted,
     RateFunction,
     SpikeSeed,
-    binom_abs_expectation,
     expected_distance,
     expected_distance_time_varying,
     expected_wasserstein,
@@ -19,6 +20,12 @@ from spikeot import (
     limiting_normalized_distance,
     shifted_expected_distance,
 )
+from spikeot.closed_form import GAMMA_TAIL, _binom_mad
+
+try:
+    import mpmath
+except ImportError:  # the `test` extra installs it
+    mpmath = None
 
 
 def gap_mean_series_form(rate1, rate2, k, l):
@@ -59,39 +66,92 @@ def gap_mean_quadrature(rate1, rate2, k, l):
     return val
 
 
+def binom_abs_expectation(n, p, center):
+    """Oracle for ``_binom_mad``: the term-by-term sum of |center - i| under Bin(n, p).
+
+    Each probability is exponentiated from log-gamma binomial coefficients.
+    """
+    i = np.arange(n + 1)
+    log_pmf = (
+        special.gammaln(n + 1)
+        - special.gammaln(i + 1)
+        - special.gammaln(n - i + 1)
+        + i * math.log(p)
+        + (n - i) * math.log1p(-p)
+    )
+    return float(np.sum(np.exp(log_pmf) * np.abs(center - i)))
+
+
+def mp_gap_mean(rate1, rate2, k):
+    """E|x_k - y_k| at 30 digits: the Bin(2k, p) MAD summed over mean +- 40 sd."""
+    with mpmath.workdps(30):
+        r1, r2 = mpmath.mpf(rate1), mpmath.mpf(rate2)
+        p = r1 / (r1 + r2)
+        n = 2 * k
+        sd = mpmath.sqrt(n * p * (1 - p))
+        lo = max(0, int(n * p - 40 * sd))
+        hi = min(n, int(n * p + 40 * sd) + 1)
+        pmf = mpmath.binomial(n, lo) * p**lo * (1 - p) ** (n - lo)
+        total = mpmath.mpf(0)
+        for i in range(lo, hi + 1):
+            total += pmf * abs(k - i)
+            pmf *= (n - i) / mpmath.mpf(i + 1) * p / (1 - p)
+        return (r1 + r2) / (r1 * r2) * total
+
+
 def test_binom_abs_expectation_enumerated():
-    assert binom_abs_expectation(BinomialAbsDeviation(2, 0.5, 1)) == pytest.approx(0.5)
-    assert binom_abs_expectation(BinomialAbsDeviation(2, 1 / 3, 1)) == pytest.approx(5 / 9)
+    assert binom_abs_expectation(2, 0.5, 1) == pytest.approx(0.5)
+    assert binom_abs_expectation(2, 1 / 3, 1) == pytest.approx(5 / 9)
+    assert _binom_mad(1, 2, 0.5, 0.5) == pytest.approx(0.5, rel=1e-15)
+    assert _binom_mad(1, 2, 1 / 3, 2 / 3) == pytest.approx(5 / 9, rel=1e-15)
 
 
 def test_binom_abs_expectation_symmetry():
     for k in (1, 3, 7):
-        a = binom_abs_expectation(BinomialAbsDeviation(2 * k, 0.3, k))
-        b = binom_abs_expectation(BinomialAbsDeviation(2 * k, 0.7, k))
+        a = binom_abs_expectation(2 * k, 0.3, k)
+        b = binom_abs_expectation(2 * k, 0.7, k)
         assert a == pytest.approx(b, rel=1e-13)
+        assert _binom_mad(k, 2 * k, 0.3, 0.7) == pytest.approx(a, rel=1e-13)
+        assert _binom_mad(k, 2 * k, 0.7, 0.3) == pytest.approx(a, rel=1e-13)
 
 
 def test_binom_abs_expectation_brute_force():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        n = int(rng.integers(1, 12))
-        center = int(rng.integers(1, n + 1))
+        n = int(rng.integers(2, 12))
+        center = int(rng.integers(1, n))
         p = float(rng.uniform(0.05, 0.95))
         brute = sum(
             math.comb(n, i) * p**i * (1 - p) ** (n - i) * abs(center - i)
             for i in range(n + 1)
         )
-        ours = binom_abs_expectation(BinomialAbsDeviation(n, p, center))
-        assert ours == pytest.approx(brute, rel=1e-12)
+        assert binom_abs_expectation(n, p, center) == pytest.approx(brute, rel=1e-12)
+        assert _binom_mad(center, n, p, 1 - p) == pytest.approx(brute, rel=1e-12)
 
 
-def test_binom_validation():
-    with pytest.raises(DomainError):
-        BinomialAbsDeviation(0, 0.5, 1)
-    with pytest.raises(DomainError):
-        BinomialAbsDeviation(2, 0.0, 1)
-    with pytest.raises(DomainError):
-        BinomialAbsDeviation(2, 0.5, 3)
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 400), data=st.data(),
+       p=st.sampled_from([0.5, 0.5 + 1e-9, 0.5 - 1e-9]) | st.floats(0.01, 0.99))
+def test_binom_mad_matches_log_pmf_sum(n, data, p):
+    # de Moivre's O(1) form against the O(n) sum, over every centre the gap
+    # formula reaches (1 <= c < n), p = 1/2 and next to it included
+    c = data.draw(st.integers(1, n - 1))
+    assert _binom_mad(c, n, p, 1 - p) == pytest.approx(binom_abs_expectation(n, p, c), rel=1e-12)
+
+
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+@pytest.mark.parametrize("rate1, rate2, k", [
+    (1.0, 1.0, 10**6), (1.0, 1.001, 10**4), (1.0, 1.001, 10**5), (1.0, 1.001, 10**6),
+    (0.3, 0.8, 10**5),
+])
+def test_expected_distance_large_k_against_mpmath(rate1, rate2, k):
+    if rate1 == rate2:
+        # E|X - k| = k C(2k, k) / 4^k for X ~ Bin(2k, 1/2)
+        with mpmath.workdps(30):
+            ref = 2 / mpmath.mpf(rate1) * k * mpmath.binomial(2 * k, k) / mpmath.mpf(4) ** k
+    else:
+        ref = mp_gap_mean(rate1, rate2, k)
+    assert expected_distance(rate1, rate2, k, k).mean == pytest.approx(float(ref), rel=2e-9)
 
 
 def test_expected_distance_unit_rates_is_laplace():
@@ -230,6 +290,61 @@ def test_shifted_matches_mc_both_signs():
         assert abs(gaps.var(ddof=1) - moment.variance) < 4 * se_var
 
 
+def shifted_mean_double_sum(rate1, rate2, k, l, shift):
+    """Oracle for the shifted mean: the k x l double sum over (i, j) of
+
+    C(i+j, i) pois(l-1-j; r2 dt) (k-i) r1^(i-1) r2^(j+1) / (r1+r2)^(i+j+1),
+    plus the drift and boundary terms, each term from log-gamma factors.
+    """
+    if shift < 0.0:
+        rate1, rate2, k, l, shift = rate2, rate1, l, k, -shift
+    lam = rate2 * shift
+    log_lam = math.log(lam)
+    term1 = (k / rate1 - l / rate2 + shift) * (1.0 - 2.0 * special.pdtr(l - 1, lam))
+    i = np.arange(k)[:, None]
+    j = np.arange(l)[None, :]
+    log_terms = (
+        special.gammaln(i + j + 1)
+        - special.gammaln(i + 1)
+        - special.gammaln(j + 1)
+        + ((l - 1 - j) * log_lam - lam - special.gammaln(l - j))
+        + np.log(k - i)
+        + (i - 1) * math.log(rate1)
+        + (j + 1) * math.log(rate2)
+        - (i + j + 1) * math.log(rate1 + rate2)
+    )
+    term2 = 2.0 * float(np.sum(np.exp(log_terms)))
+    term3 = 2.0 * shift * math.exp((l - 1) * log_lam - lam - special.gammaln(l))
+    return term1 + term2 + term3
+
+
+def test_shifted_matches_double_sum():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        r1, r2 = (float(v) for v in rng.uniform(0.1, 5.0, size=2))
+        k, l = (int(v) for v in rng.integers(1, 120, size=2))
+        shift = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 30.0))
+        ours = shifted_expected_distance(r1, r2, k, l, shift).mean
+        assert ours == pytest.approx(shifted_mean_double_sum(r1, r2, k, l, shift), rel=1e-10)
+
+
+def test_shifted_memory_does_not_grow_with_k_times_l():
+    # the double sum builds 4e6-element temporaries at k = l = 2000
+    tracemalloc.start()
+    try:
+        shifted_expected_distance(0.3, 0.8, 2000, 2000, 3.0)
+        shifted_expected_distance(0.3, 0.8, 2000, 2000, -3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_shifted_rejects_a_window_beyond_ten_million_terms():
+    with pytest.raises(DomainError):
+        shifted_expected_distance(0.3, 0.8, 10**12, 10**12, 1e12)
+
+
 def test_shifted_domain():
     with pytest.raises(DomainError):
         shifted_expected_distance(1.0, 1.0, 1, 1, math.inf)
@@ -301,6 +416,73 @@ def test_time_varying_piecewise_linear_vs_mc():
     d2 = (x - y) ** 2
     se = d2.std(ddof=1) / math.sqrt(n)
     assert abs(quad - d2.mean()) < 3 * se
+
+
+def time_varying_2d(mu, nu, k, l, power=1, rel_tol=1e-6):
+    """Oracle for the 1D time-varying route: 2D adaptive quadrature.
+
+    Substituting u = m(x), v = n(y) maps the arrivals to unit-rate Gamma
+    variables, so the target is the Gamma(k) x Gamma(l) weighted integral of
+    |m^-1(u) - n^-1(v)|^power over the same truncated domain.
+    """
+    u_hi = float(special.gammainccinv(k, GAMMA_TAIL))
+    v_hi = float(special.gammainccinv(l, GAMMA_TAIL))
+
+    def interior_cuts(rate_fn, upper):
+        if rate_fn.kind == "constant":
+            return []
+        cuts = rate_fn.cumulative(np.maximum(rate_fn.breakpoints, 0.0))
+        return sorted({float(c) for c in cuts if 0.0 < c < upper})
+
+    u_cuts = interior_cuts(mu, u_hi)
+    v_cuts = interior_cuts(nu, v_hi)
+
+    def inner(v):
+        y = nu.inverse_cumulative(v)
+
+        def f(u):
+            gap = mu.inverse_cumulative(u) - y
+            w = abs(gap) if power == 1 else gap * gap
+            return w * math.exp((k - 1) * math.log(u) - u - special.gammaln(k)) if u > 0 else 0.0
+
+        pts = list(u_cuts)
+        if power == 1:
+            # kink where the integrand's absolute value switches sign
+            kink = mu.cumulative(y) if y >= 0.0 else 0.0
+            if 0.0 < kink < u_hi:
+                pts.append(kink)
+        val, _ = integrate.quad(f, 0.0, u_hi, points=sorted(pts) or None, limit=200,
+                                epsabs=1e-14, epsrel=rel_tol / 10.0)
+        return val
+
+    def outer(v):
+        return inner(v) * math.exp((l - 1) * math.log(v) - v - special.gammaln(l)) if v > 0 else 0.0
+
+    val, _ = integrate.quad(outer, 0.0, v_hi, points=v_cuts or None, limit=200,
+                            epsabs=1e-14, epsrel=rel_tol)
+    return val
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("mu, nu", [
+    (RateFunction.constant(0.3), RateFunction.constant(0.8)),
+    (RateFunction.piecewise_constant([0.0, 5.0, 15.0, 60.0], [0.5, 0.2, 0.6]),
+     RateFunction.piecewise_constant([0.0, 10.0, 100.0], [1.0, 0.4])),
+    (RateFunction.piecewise_linear([0.0, 10.0, 30.0, 80.0], [0.2, 1.0, 0.3, 0.6]),
+     RateFunction.piecewise_linear([0.0, 20.0, 120.0], [0.9, 0.2, 0.5])),
+], ids=["constant", "piecewise_constant", "piecewise_linear"])
+def test_time_varying_matches_2d_quadrature(mu, nu, power):
+    ours = expected_distance_time_varying(mu, nu, 3, 5, power)
+    assert ours == pytest.approx(time_varying_2d(mu, nu, 3, 5, power), rel=1e-6)
+
+
+def test_time_varying_power_two_holds_rel_tol_under_cancellation():
+    # k = l = 200 at equal rates: EX^2 + EY^2 is 200 times E(X - Y)^2
+    mu = nu = RateFunction.constant(1.0)
+    exact = expected_distance_time_varying(mu, nu, 200, 200, power=2, rel_tol=1e-11)
+    assert expected_distance_time_varying(mu, nu, 200, 200, power=2) == pytest.approx(
+        exact, rel=1e-6)
+    assert exact == pytest.approx(400.0, rel=1e-7)
 
 
 def test_time_varying_exhaustion_and_domain():
