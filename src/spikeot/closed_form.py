@@ -72,29 +72,34 @@ def _bd0(x, m):
     return np.where(np.abs(v) < 0.1, near, x * np.log(x / m) - d)
 
 
-def _binom_mad(c, n, p, q):
+def _binom_mad(c, n, p, q, excess=False):
     """E|X - c| for X ~ Bin(n, p), elementwise, integers 0 < c < n, q = 1 - p.
 
     de Moivre: (c - np)(2 P[X < c] - 1) + 2 c q b(c; n, p), with P[X < c] =
     I_q(n - c + 1, c) and Loader's saddle-point pmf b: about 1e-14 relative at
-    n = 2e6, where ``bdtr`` and a log-gamma pmf lose up to 1e-9.
+    n = 2e6, where ``bdtr`` and a log-gamma pmf lose up to 1e-9.  ``excess``:
+    E|X - c| - |c - np| = 2cq b - 2|c - np| T, T the tail beyond c away from np.
     """
     c, rest = np.asarray(c, dtype=float), np.asarray(n - c, dtype=float)
     n = c + rest
     log_pmf = _stirlerr(n) - _stirlerr(c) - _stirlerr(rest) - _bd0(c, n * p) - _bd0(rest, n * q)
     pmf = np.exp(log_pmf) / np.sqrt(2.0 * math.pi * c * rest / n)
-    return (c - n * p) * (2.0 * special.betainc(rest + 1.0, c, q) - 1.0) + 2.0 * c * q * pmf
+    d = c - n * p
+    if excess:
+        tail = np.where(d > 0, special.betainc(c, rest + 1.0, p), special.betainc(rest + 1.0, c, q))
+        return 2.0 * c * q * pmf - 2.0 * np.abs(d) * tail
+    return d * (2.0 * special.betainc(rest + 1.0, c, q) - 1.0) + 2.0 * c * q * pmf
 
 
-def _gap_mean(rate1, rate2, k, l):
-    """E|x_k - y_l| elementwise; each element is put in the order (rate1, k) <=
-    (rate2, l), so that swapping the processes gives bitwise the same value."""
+def _gap_mean(rate1, rate2, k, l, excess=False):
+    """E|x_k - y_l| (``excess``: minus |E(x_k - y_l)|) elementwise, each element in the
+    order (rate1, k) <= (rate2, l), so that swapping the processes is bitwise the same."""
     rate1, rate2, k, l = np.broadcast_arrays(rate1, rate2, k, l)
     swap = (rate1 > rate2) | ((rate1 == rate2) & (k > l))
     r1, r2 = np.where(swap, rate2, rate1), np.where(swap, rate1, rate2)
     k, l = np.where(swap, l, k), np.where(swap, k, l)
     s = r1 + r2
-    return s / (r1 * r2) * _binom_mad(k, k + l, r1 / s, r2 / s)
+    return s / (r1 * r2) * _binom_mad(k, k + l, r1 / s, r2 / s, excess)
 
 
 def _check_rates_orders(rate1, rate2, k, l):
@@ -110,14 +115,16 @@ def expected_distance(rate1: float, rate2: float, k: int, l: int) -> ClosedFormM
     """Moments of |x_k - y_l| for independent Erlang arrivals with the given rates.
 
     mean = (r1+r2)/(r1 r2) * E_{i~Bin(k+l, r1/(r1+r2))} |k - i|;
-    variance = k/r1^2 + l/r2^2 + (k/r1 - l/r2)^2 - mean^2.
+    variance = k/r1^2 + l/r2^2 - e (2|mu| + e), mu = k/r1 - l/r2, with the excess
+    e = mean - |mu| in its own closed form, so nothing cancels when |mu| >> std.
     Symmetric under swapping (rate1, k) with (rate2, l).
     """
     _check_rates_orders(rate1, rate2, k, l)
     k, l = int(k), int(l)
     mean = float(_gap_mean(float(rate1), float(rate2), k, l))
-    second = k / rate1**2 + l / rate2**2 + (k / rate1 - l / rate2) ** 2
-    return ClosedFormMoment(mean=mean, variance=max(second - mean * mean, 0.0))
+    e = float(_gap_mean(float(rate1), float(rate2), k, l, excess=True))
+    variance = k / rate1**2 + l / rate2**2 - e * (2.0 * abs(k / rate1 - l / rate2) + e)
+    return ClosedFormMoment(mean=mean, variance=max(variance, 0.0))
 
 
 def expected_wasserstein(rate1: float, rate2: float, n_samples: int) -> float:

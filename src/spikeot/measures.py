@@ -66,7 +66,7 @@ class EmpiricalMeasure:
     Masses must be positive and sum to 1 within ``MASS_TOL`` (the sum is then
     renormalized exactly).  The cumulative-mass array is precomputed with its
     final entry pinned to exactly 1.0 so that quantile lookups at u = 1 are
-    safe.
+    safe.  Equal masses get the exact ladder k/N, so k/N and j/M tie when equal.
     """
 
     __slots__ = ("samples", "masses", "_cum")
@@ -81,9 +81,7 @@ class EmpiricalMeasure:
         if not np.all(np.isfinite(raw)):
             raise InvalidSample("sample values must be finite")
 
-        if masses is None:
-            m = np.full(raw.size, 1.0 / raw.size)
-        else:
+        if masses is not None:
             m = np.asarray(masses, dtype=float).reshape(-1)
             if m.size != raw.size:
                 raise InvalidMeasure("masses and samples must have equal length")
@@ -98,9 +96,13 @@ class EmpiricalMeasure:
 
         order = np.argsort(raw, kind="stable")
         srt = raw[order]
-        m = m[order]
-        cum = np.cumsum(m)
-        cum[-1] = 1.0
+        if masses is None or np.all(m == m[0]):
+            m = np.full(raw.size, 1.0 / raw.size)
+            cum = np.arange(1, raw.size + 1) / raw.size
+        else:
+            m = m[order]
+            cum = np.cumsum(m)
+            cum[-1] = 1.0
         for arr in (srt, m, cum):
             arr.setflags(write=False)
         object.__setattr__(self, "samples", _wrap_sorted(srt))

@@ -55,22 +55,16 @@ class TransportPlan:
         return math.fsum(self.mass * gaps)
 
 
-def _merged_bands(a: EmpiricalMeasure, b: EmpiricalMeasure, extra=()):
-    """Split (0, 1] at every cumulative-mass breakpoint of both measures.
+def _merged_bands(cum_a: np.ndarray, cum_b: np.ndarray, cuts=()):
+    """Split (0, 1] at every breakpoint of two mass ladders and at ``cuts`` in (0, 1).
 
-    Returns (i, j, lo, hi) arrays: on each band (lo, hi] the source quantile
-    function equals atom i of ``a`` and the target quantile function equals
-    atom j of ``b``.  Exact ties between breakpoints collapse, so matching
-    mass ladders never produce zero-width bands.
+    Returns (i, j, lo, hi): on each band (lo, hi] the first ladder's quantile
+    function is atom i and the second's atom j.  Equal breakpoints collapse, and
+    equal-mass ladders are exact, so uniform measures cut no sliver bands.
     """
-    cuts = np.union1d(a.cumulative_masses, b.cumulative_masses)
-    if len(extra):
-        inner = np.asarray(extra, dtype=float)
-        cuts = np.union1d(cuts, inner[(inner > 0.0) & (inner < 1.0)])
-    lo = np.concatenate(([0.0], cuts[:-1]))
-    i = np.searchsorted(a.cumulative_masses, lo, side="right")
-    j = np.searchsorted(b.cumulative_masses, lo, side="right")
-    return i, j, lo, cuts
+    hi = np.unique(np.concatenate((cum_a, cum_b, cuts)))
+    lo = np.concatenate(([0.0], hi[:-1]))
+    return np.searchsorted(cum_a, lo, side="right"), np.searchsorted(cum_b, lo, side="right"), lo, hi
 
 
 def w1_equal_size(x: SortedSamples, y: SortedSamples) -> float:
@@ -91,7 +85,7 @@ def northwest_corner_plan(a: EmpiricalMeasure, b: EmpiricalMeasure) -> Transport
 
     For sorted 1D atoms this plan is optimal for W1.
     """
-    i, j, lo, hi = _merged_bands(a, b)
+    i, j, lo, hi = _merged_bands(a.cumulative_masses, b.cumulative_masses)
     return TransportPlan(
         source_index=i.astype(np.intp),
         target_index=j.astype(np.intp),
@@ -101,7 +95,7 @@ def northwest_corner_plan(a: EmpiricalMeasure, b: EmpiricalMeasure) -> Transport
 
 def w1_general(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """Exact W1 via the quantile-function integral over merged mass breakpoints."""
-    i, j, lo, hi = _merged_bands(a, b)
+    i, j, lo, hi = _merged_bands(a.cumulative_masses, b.cumulative_masses)
     return math.fsum((hi - lo) * np.abs(a.values[i] - b.values[j]))
 
 
@@ -127,10 +121,9 @@ def partial_transport_cost(
     u_hi = float(u_hi)
     if not (0.0 <= u_lo < u_hi <= 1.0):
         raise DomainError(f"quantile band must satisfy 0 <= lo < hi <= 1, got ({u_lo}, {u_hi})")
-    i, j, lo, hi = _merged_bands(a, b, extra=(u_lo, u_hi))
-    keep = (lo >= u_lo) & (hi <= u_hi)
-    gaps = np.abs(a.values[i[keep]] - b.values[j[keep]])
-    return math.fsum((hi[keep] - lo[keep]) * gaps)
+    i, j, lo, hi = _merged_bands(a.cumulative_masses, b.cumulative_masses)
+    width = np.clip(hi, u_lo, u_hi) - np.clip(lo, u_lo, u_hi)
+    return math.fsum(width * np.abs(a.values[i] - b.values[j]))
 
 
 def w1_uniform_uniform(rate1: float, rate2: float) -> float:

@@ -55,6 +55,7 @@ __all__ = [
 DEFAULT_Z_THRESHOLD = 4.0
 # numpy's Poisson sampler refuses larger means
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+_MAX_DRAWS = 10**8  # per trials x size array (0.8 GB of float64), checked before drawing
 
 
 @dataclass(frozen=True)
@@ -134,9 +135,11 @@ def _compare_moments(label, params, samples, moment: ClosedFormMoment) -> Moment
     )
 
 
-def _check_trials(trials: int) -> int:
+def _check_trials(trials: int, size: int = 1) -> int:
     if int(trials) != trials or trials < 100:
         raise DomainError("need an integer trial count >= 100")
+    if int(trials) * size > _MAX_DRAWS:
+        raise DomainError(f"{int(trials)} trials x {size} draws exceed the cap of {_MAX_DRAWS:.0e}")
     return int(trials)
 
 
@@ -144,10 +147,10 @@ def expected_distance_comparisons(
     rate1: float, rate2: float, k_max: int, trials: int, seed: SpikeSeed
 ) -> list[MomentComparison]:
     """Simulate |x_k - y_k| for all k <= k_max on common process paths."""
-    trials = _check_trials(trials)
     if int(k_max) != k_max or k_max < 1:
         raise DomainError("k_max must be an integer >= 1")
     k_max = int(k_max)
+    trials = _check_trials(trials, k_max)
     x = np.cumsum(seed.generator(0).standard_exponential((trials, k_max)), axis=1) / rate1
     y = np.cumsum(seed.generator(1).standard_exponential((trials, k_max)), axis=1) / rate2
     gaps = np.abs(x - y)
@@ -317,9 +320,9 @@ def validate_wasserstein_surface(
     threshold: float = DEFAULT_Z_THRESHOLD,
 ) -> SurfaceValidation:
     """MC-vs-closed-form E[W] over a rate grid, plus harmonic-slice argmin checks."""
-    trials = _check_trials(trials)
     if int(n_samples) != n_samples or n_samples < 1:
         raise DomainError("sample count must be an integer >= 1")
+    trials = _check_trials(trials, int(n_samples))
     rates = [float(r) for r in rates]
     if not all(0.0 < r < math.inf for r in rates):
         raise DomainError("rates must be positive and finite")

@@ -169,6 +169,12 @@ def test_threads_flag_is_gone(capsys):
                  id="closed-form-order-beyond-2-53"),
     pytest.param(None, ["experiment", "fig3", "--base-rate", "1e15", "--trials", "1",
                         "--ratios", "1", "--shifts", "0"], id="fig3-base-rate-beyond-memory"),
+    pytest.param(None, ["experiment", "fig2", "--n-samples", "1000000000000", "--grid-max", "1"],
+                 id="fig2-samples-beyond-draw-cap"),
+    pytest.param(None, ["experiment", "figB1", "--k-max", "1000000000000"],
+                 id="figB1-k-max-beyond-draw-cap"),
+    pytest.param(None, ["experiment", "shift", "--trials", "1000000000000"],
+                 id="shift-trials-beyond-draw-cap"),
 ])
 @pytest.mark.filterwarnings("error")  # a bad input must stop before any numpy warning
 def test_bad_input_exits_2_with_message(capsys, monkeypatch, env_seed, argv):

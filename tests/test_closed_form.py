@@ -82,12 +82,13 @@ def binom_abs_expectation(n, p, center):
     return float(np.sum(np.exp(log_pmf) * np.abs(center - i)))
 
 
-def mp_gap_mean(rate1, rate2, k):
-    """E|x_k - y_k| at 30 digits: the Bin(2k, p) MAD summed over mean +- 40 sd."""
-    with mpmath.workdps(30):
+def mp_gap_mean(rate1, rate2, k, l=None, dps=30):
+    """E|x_k - y_l| (l = k by default) at ``dps`` digits: the Bin(k + l, p) MAD
+    summed over mean +- 40 sd."""
+    with mpmath.workdps(dps):
         r1, r2 = mpmath.mpf(rate1), mpmath.mpf(rate2)
         p = r1 / (r1 + r2)
-        n = 2 * k
+        n = k + (k if l is None else l)
         sd = mpmath.sqrt(n * p * (1 - p))
         lo = max(0, int(n * p - 40 * sd))
         hi = min(n, int(n * p + 40 * sd) + 1)
@@ -152,6 +153,28 @@ def test_expected_distance_large_k_against_mpmath(rate1, rate2, k):
     else:
         ref = mp_gap_mean(rate1, rate2, k)
     assert expected_distance(rate1, rate2, k, k).mean == pytest.approx(float(ref), rel=2e-9)
+
+
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+@pytest.mark.parametrize("rate1, rate2, k, l", [
+    (1.0, 2.0, 1, 1), (0.3, 0.8, 50, 50), (2.0, 3.0, 300, 10), (5.0, 0.2, 7, 400),
+    (0.3, 0.8, 1000, 1000), (1.0, 1.001, 10**5, 10**5), (1.0, 1.01, 10**5, 10**5),
+    (0.3, 0.8, 10**5, 10**5), (3.0, 1.0, 2000, 1),
+])
+def test_expected_distance_variance_against_mpmath(rate1, rate2, k, l):
+    # 60-digit second moment minus squared mean, where the cancellation is harmless
+    with mpmath.workdps(60):
+        r1, r2 = mpmath.mpf(rate1), mpmath.mpf(rate2)
+        mean = mp_gap_mean(rate1, rate2, k, l, dps=60)
+        ref = k / r1**2 + l / r2**2 + (k / r1 - l / r2) ** 2 - mean**2
+    assert expected_distance(rate1, rate2, k, l).variance == pytest.approx(float(ref), rel=1e-12)
+
+
+def test_expected_distance_variance_far_from_zero_mean():
+    # k = l = 10^9 at rates (0.3, 0.8): the mean gap is 1.8e4 standard
+    # deviations from 0, so E|D| - |E D| < e^-(10^8) and Var|D| = Var D exactly
+    moment = expected_distance(0.3, 0.8, 10**9, 10**9)
+    assert moment.variance == pytest.approx(1e9 / 0.3**2 + 1e9 / 0.8**2, rel=1e-12)
 
 
 def test_expected_distance_unit_rates_is_laplace():

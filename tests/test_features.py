@@ -5,11 +5,13 @@ import pytest
 
 from spikeot import (
     DomainError,
+    EmpiricalMeasure,
     SortedSamples,
     classwise_transport_cost_features,
     hausdorff_features,
     js_bin_features,
     make_uniform_empirical,
+    partial_transport_cost,
     standardize_features,
     transport_cost_features,
     w1_general,
@@ -40,6 +42,34 @@ def test_transport_cost_sums_to_w1():
             fv = transport_cost_features(a, b, bands=bands)
             assert np.all(fv.values >= 0.0)
             assert math.fsum(fv.values) == pytest.approx(w1_general(a, b), abs=1e-10)
+
+
+def per_band_costs(a, ref, bands):
+    """Second route: one partial_transport_cost call per band (k-1)/D to k/D."""
+    return np.array([partial_transport_cost(a, ref, (k - 1) / bands, k / bands)
+                     for k in range(1, bands + 1)])
+
+
+@pytest.mark.parametrize("n, m, bands", [
+    (1, 1, 3), (7, 7, 10), (11, 17, 10), (49, 98, 7), (40, 25, 200), (5000, 3000, 100),
+    (3000, 5000, 1), (997, 1009, 100),
+])
+def test_transport_cost_matches_per_band_oracle(n, m, bands):
+    rng = np.random.default_rng(n * 7919 + m)
+    a = make_uniform_empirical(rng.exponential(size=n))
+    b = make_uniform_empirical(1.1 * rng.exponential(size=m))
+    np.testing.assert_allclose(transport_cost_features(a, b, bands=bands).values,
+                               per_band_costs(a, b, bands), rtol=1e-12, atol=0.0)
+
+
+def test_transport_cost_matches_per_band_oracle_weighted():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n, m = rng.integers(1, 30, size=2)
+        a = EmpiricalMeasure(rng.normal(size=n), rng.dirichlet(np.ones(n)))
+        b = EmpiricalMeasure(rng.normal(size=m), rng.dirichlet(np.ones(m)))
+        np.testing.assert_allclose(transport_cost_features(a, b, bands=9).values,
+                                   per_band_costs(a, b, 9), rtol=1e-12, atol=1e-15)
 
 
 def test_transport_cost_translation_covariance():

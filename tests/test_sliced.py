@@ -84,7 +84,7 @@ def test_sliced_translation_law_2d():
 def test_sliced_symmetric_and_deterministic():
     rng = np.random.default_rng(5)
     a = PointCloud(rng.normal(size=(10, 2)))
-    b = PointCloud(rng.normal(size=(14, 2)))  # unequal sizes: general path
+    b = PointCloud(rng.normal(size=(14, 2)))  # unequal sizes
     e1 = sliced_w1(a, b, 64, SpikeSeed(6))
     e2 = sliced_w1(b, a, 64, SpikeSeed(6))
     e3 = sliced_w1(a, b, 64, SpikeSeed(6))
@@ -109,6 +109,24 @@ def test_sliced_rotation_equivariance():
     )
     assert rotated.mean == pytest.approx(base.mean, rel=1e-12)
     assert rotated.std_error == pytest.approx(base.std_error, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (12, 12), (10, 14), (49, 98), (300, 200), (1, 37)])
+def test_sliced_matches_per_direction_w1(n, m):
+    # second route: one w1_general per direction on freshly built measures
+    rng = np.random.default_rng(n * 1000 + m)
+    a = PointCloud(rng.normal(size=(n, 2)))
+    b = PointCloud(rng.normal(size=(m, 2)) + [0.3, 0.0])
+    dirs = rng.normal(size=(25, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    per_direction = [
+        w1_general(make_uniform_empirical(project(a, d).values),
+                   make_uniform_empirical(project(b, d).values))
+        for d in dirs
+    ]
+    est = sliced_w1(a, b, 25, SpikeSeed(0), directions=dirs)
+    assert est.mean == pytest.approx(np.mean(per_direction), rel=1e-12)
+    assert est.std_error == pytest.approx(np.std(per_direction, ddof=1) / 5.0, rel=1e-9)
 
 
 def test_sliced_validation():

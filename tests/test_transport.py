@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from spikeot import (
@@ -110,6 +113,52 @@ def test_plan_marginals_and_monotonicity():
         assert pairs == sorted(pairs)
         for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]):
             assert not (i1 < i2 and j1 > j2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 200), m=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+def test_uniform_plan_has_no_slivers(n, m, seed):
+    # k/n and j/m tie exactly when equal as rationals: the merged ladder has
+    # n + m - gcd breakpoints, and every band is a multiple of 1/lcm(n, m)
+    rng = np.random.default_rng(seed)
+    a = make_uniform_empirical(rng.normal(size=n))
+    b = make_uniform_empirical(rng.normal(size=m))
+    plan = northwest_corner_plan(a, b)
+    assert len(plan) == n + m - math.gcd(n, m)
+    assert plan.mass.min() >= (1.0 - 1e-9) / math.lcm(n, m)
+    rows = np.bincount(plan.source_index, weights=plan.mass, minlength=n)
+    cols = np.bincount(plan.target_index, weights=plan.mass, minlength=m)
+    assert np.max(np.abs(rows - a.masses)) <= 1e-15
+    assert np.max(np.abs(cols - b.masses)) <= 1e-15
+    assert plan.cost(a, b) == w1_general(a, b)
+
+
+def test_uniform_plan_49_against_98_atoms():
+    # a float cumsum of 1/49 and 1/98 missed 42 of the 49 shared breakpoints
+    a = make_uniform_empirical(np.arange(49.0))
+    b = make_uniform_empirical(np.arange(98.0) / 2.0)
+    plan = northwest_corner_plan(a, b)
+    assert len(plan) == 98
+    np.testing.assert_array_equal(plan.source_index, np.arange(98) // 2)
+    np.testing.assert_array_equal(plan.target_index, np.arange(98))
+    np.testing.assert_allclose(plan.mass, 1 / 98, rtol=1e-12)
+
+
+def test_w1_general_is_exact_on_the_lcm_grid():
+    # 5000 vs 3000 atoms: the exact rational quantile integral on the grid of
+    # lcm(n, m), each value taken as the exact rational of its float
+    rng = np.random.default_rng(21)
+    x, y = np.sort(rng.exponential(size=5000)), np.sort(1.1 * rng.exponential(size=3000))
+    n, m = x.size, y.size
+    lcm = math.lcm(n, m)
+    cuts = np.union1d(np.arange(1, n + 1) * (lcm // n), np.arange(1, m + 1) * (lcm // m))
+    lo = np.concatenate(([0], cuts[:-1]))
+    exact = sum(
+        Fraction(int(c - l), lcm) * abs(Fraction(x[l // (lcm // n)]) - Fraction(y[l // (lcm // m)]))
+        for l, c in zip(lo, cuts)
+    )
+    w = w1_general(make_uniform_empirical(x), make_uniform_empirical(y))
+    assert abs(Fraction(w) - exact) <= Fraction(1, 10**15) * exact
 
 
 def test_w1_general_spec_values():
