@@ -144,18 +144,22 @@ def shifted_expected_distance(
 ) -> ClosedFormMoment:
     """Moments of |x_k + shift - y_l| under a rigid support shift.
 
-    For shift >= 0, with p = r1/(r1+r2), q = 1 - p and lam = r2 dt, the mean is
+    As in ``expected_distance``, the mean is |mu| + e and the variance
+    k/r1^2 + l/r2^2 - e (2|mu| + e), mu = k/r1 - l/r2 + dt, with the excess
+    e = mean - |mu| summed from tails, so nothing cancels when |mu| >> std.
+    For dt > 0, with p = r1/(r1+r2), q = 1 - p, lam = r2 dt and F_j the
+    failures before the (j+1)-th success at odds q (P[F_j < i] = I_q(j+1, i)),
 
-        (k/r1 - l/r2 + dt) * (1 - 2 P[Pois(lam) <= l-1])
-        + 2 sum_{j<l} pois(l-1-j; lam) S_j + 2 dt pois(l-1; lam),
-        S_j = [k NB(k-1; j+1, q) - (j+1) (p/q) NB(k-2; j+2, q)] / r1,
+        e = 2/r1 sum_{j<l} pois(l-1-j; lam) E(F_j - k)^+,            mu >= 0,
+        e = 2/r1 sum_{j<l} pois(l-1-j; lam) E(k - F_j)^+
+            + 2 dt pois(l-1; lam) - 2|mu| P[Pois(lam) >= l],          mu < 0,
 
-    NB(i; n, q) = I_q(n, i + 1) being the chance of at most i failures before
-    the n-th success.  The sum skips the j whose Poisson weight is below
-    e^-800 (l-1-j beyond lam +- (40 sqrt(lam) + 10)).  A negative shift swaps
-    (rate1, k) with (rate2, l).  At shift = 0 this reduces exactly to
-    ``expected_distance``.  For k = l = 1, memorylessness gives the gap to the
-    linear asymptote exactly:
+    E(F_j - k)^+ = (j+1)(p/q) I_p(k-1, j+2) - k I_p(k, j+1) and
+    E(k - F_j)^+ = k I_q(j+1, k) - (j+1)(p/q) I_q(j+2, k-1).  The sums skip
+    the j whose Poisson weight is below e^-800 (l-1-j beyond lam +-
+    (40 sqrt(lam) + 10)).  A negative shift swaps (rate1, k) with (rate2, l).
+    At shift = 0 this reduces exactly to ``expected_distance``.  For k = l = 1,
+    memorylessness gives the gap to the linear asymptote exactly:
 
         E|x_1 + dt - y_1| = dt + 1/r1 - 1/r2 + 2 r1 / (r2 (r1+r2)) exp(-r2 dt),
                             dt > 0,
@@ -171,12 +175,10 @@ def shifted_expected_distance(
     if shift < 0.0:
         rate1, rate2, k, l, shift = rate2, rate1, l, k, -shift
 
-    lam = rate2 * shift
+    lam, mu = rate2 * shift, k / rate1 - l / rate2 + shift
 
     def pois_pmf(m):
         return np.exp(special.xlogy(m, lam) - lam - special.gammaln(m + 1.0))
-
-    term1 = (k / rate1 - l / rate2 + shift) * (1.0 - 2.0 * special.pdtr(l - 1, lam))
 
     reach = 40.0 * math.sqrt(lam) + 10.0
     lo, hi = max(0, math.ceil(lam - reach)), min(l - 1, math.floor(lam + reach))
@@ -184,21 +186,16 @@ def shifted_expected_distance(
         raise DomainError(f"shift {shift!r} needs {hi - lo + 1} Poisson terms, over 10^7")
     j = l - 1 - np.arange(lo, hi + 1)
     p, q = rate1 / (rate1 + rate2), rate2 / (rate1 + rate2)
-    s_j = k * special.betainc(j + 1.0, k, q)
-    if k > 1:
-        s_j = s_j - (j + 1) * (p / q) * special.betainc(j + 2.0, k - 1.0, q)
-    term2 = 2.0 * math.fsum(pois_pmf(l - 1 - j) * s_j) / rate1
-    term3 = 2.0 * shift * float(pois_pmf(l - 1))
-
-    mean = float(term1 + term2 + term3)
-    second = (
-        k / rate1**2
-        + l / rate2**2
-        + (k / rate1 - l / rate2) ** 2
-        + shift * shift
-        + 2.0 * shift * (k / rate1 - l / rate2)
-    )
-    return ClosedFormMoment(mean=mean, variance=max(second - mean * mean, 0.0))
+    mean_f = (j + 1) * (p / q)
+    if mu >= 0.0:
+        tails = mean_f * special.betainc(k - 1.0, j + 2.0, p) - k * special.betainc(k, j + 1.0, p)
+        e = 0.0
+    else:
+        tails = k * special.betainc(j + 1.0, k, q) - mean_f * special.betainc(j + 2.0, k - 1.0, q)
+        e = 2.0 * shift * float(pois_pmf(l - 1)) - 2.0 * abs(mu) * float(special.pdtrc(l - 1, lam))
+    e += 2.0 * math.fsum(pois_pmf(l - 1 - j) * tails) / rate1
+    variance = k / rate1**2 + l / rate2**2 - e * (2.0 * abs(mu) + e)
+    return ClosedFormMoment(mean=abs(mu) + e, variance=max(variance, 0.0))
 
 
 def limiting_normalized_distance(rate1: float, rate2: float) -> tuple[float, float]:

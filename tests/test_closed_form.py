@@ -351,6 +351,44 @@ def test_shifted_matches_double_sum():
         assert ours == pytest.approx(shifted_mean_double_sum(r1, r2, k, l, shift), rel=1e-10)
 
 
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+def test_shifted_variance_far_from_zero_mean():
+    # k = l = 10^9 at rates (0.3, 0.8), shift 3: the mean gap is 1.8e4
+    # standard deviations from 0, so E|D| - |E D| < e^-(10^8) and Var|D| = Var D
+    # exactly; second moment - mean^2 was 2.1e-7 relative off
+    for shift in (3.0, -3.0):
+        moment = shifted_expected_distance(0.3, 0.8, 10**9, 10**9, shift)
+        with mpmath.workdps(30):
+            exact = float(10**9 / mpmath.mpf(0.3) ** 2 + 10**9 / mpmath.mpf(0.8) ** 2)
+        assert moment.variance == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+def test_shifted_variance_against_mpmath():
+    # unit rates, k = l = 10^6, shift 5000 (3.5 standard deviations): with
+    # D = x_k + s - y_l, E|D| = s + 2 E(y_l - x_k - s)^+ and
+    # E(Y - U)^+ = integral of P(U <= t) P(Y > t) dt, here by 20-point
+    # Gauss-Legendre panels of one standard deviation over the +-8 sd overlap,
+    # with 20-digit incomplete gammas; second moment - mean^2 was 9.6e-11 off
+    k = l = 10**6
+    s, sd = 5000, 1000
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    with mpmath.workdps(20):
+        def upper(a, x):
+            return mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+
+        tail = mpmath.mpf(0)
+        for lo in range(k + s - 8 * sd, k + 8 * sd, sd):
+            for t, wt in zip(lo + sd / 2 * (1 + nodes), weights):
+                tail += wt * sd / 2 * (1 - upper(k, t - s)) * upper(l, t)
+        excess = 2 * tail
+        mean = s + excess
+        variance = k + l - excess * (2 * s + excess)
+    moment = shifted_expected_distance(1.0, 1.0, k, l, float(s))
+    assert moment.mean == pytest.approx(float(mean), rel=1e-12)
+    assert moment.variance == pytest.approx(float(variance), rel=1e-12)
+
+
 def test_shifted_memory_does_not_grow_with_k_times_l():
     # the double sum builds 4e6-element temporaries at k = l = 2000
     tracemalloc.start()

@@ -1,8 +1,12 @@
 import itertools
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikeot import (
     BinnedPMF,
@@ -19,6 +23,11 @@ from spikeot import (
     victor_purpura,
 )
 
+try:
+    import mpmath
+except ImportError:  # the `test` extra installs it
+    mpmath = None
+
 
 def vp_matching_oracle(xs, ys, q):
     """Exhaustive Victor-Purpura oracle: minimum over all partial matchings."""
@@ -32,6 +41,33 @@ def vp_matching_oracle(xs, ys, q):
                 )
                 best = min(best, cost)
     return best
+
+
+def vp_double_loop(xs, ys, q):
+    """The Victor-Purpura recurrence cell by cell: the route the row-wise
+    cumulative minimum replaced, kept as its oracle."""
+    n, m = len(xs), len(ys)
+    if n == 0 or m == 0:
+        return float(n + m)
+    prev = np.arange(m + 1, dtype=float)
+    for i in range(1, n + 1):
+        cur = np.empty(m + 1)
+        cur[0] = i
+        shift_costs = prev[:-1] + q * np.abs(xs[i - 1] - ys)
+        for j in range(1, m + 1):
+            cur[j] = min(prev[j] + 1.0, cur[j - 1] + 1.0, shift_costs[j - 1])
+        prev = cur
+    return float(prev[m])
+
+
+def kfs_gram(xs, ys, tau):
+    """Radicand and total kernel mass of the kernel distance by three numpy
+    Gram sums: the route the signed sweep replaced, kept as its oracle."""
+    def gram_sum(a, b):
+        return float(np.exp(-np.abs(a[:, None] - b[None, :]) / tau).sum())
+
+    kxx, kxy, kyy = gram_sum(xs, xs), gram_sum(xs, ys), gram_sum(ys, ys)
+    return kxx - 2.0 * kxy + kyy, kxx + 2.0 * kxy + kyy
 
 
 def train(values):
@@ -175,6 +211,35 @@ def test_vp_symmetry_triangle_and_bounds():
     assert victor_purpura(x, y, q) <= sorted_match + 1e-12
 
 
+# A few grid values make duplicates within a train and ties across trains.
+_spike_times = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.25, 2.0]), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(_spike_times, max_size=40), ys=st.lists(_spike_times, max_size=40),
+       q=st.one_of(st.sampled_from([0.0, 1e-9, 1e6]), st.floats(0.0, 10.0)))
+def test_vp_rows_match_double_loop(xs, ys, q):
+    x, y = train(xs), train(ys)
+    oracle = vp_double_loop(x.values, y.values, q)
+    xy, yx = victor_purpura(x, y, q), victor_purpura(y, x, q)
+    assert abs(xy - oracle) <= 1e-12 * oracle
+    assert abs(yx - xy) <= 1e-12 * xy
+    if q == 0.0:
+        assert xy == abs(len(xs) - len(ys))
+
+
+@pytest.mark.parametrize("n, m", [(1, 40), (40, 3), (0, 40), (7, 300)])
+def test_vp_rows_match_double_loop_lopsided(n, m):
+    rng = np.random.default_rng(n * 1000 + m)
+    for q in (0.0, 1e-9, 0.7, 1e6):
+        x = train(rng.uniform(0, 3, n))
+        tied = min(n, m) // 2
+        y = train(np.concatenate((x.values[:tied], rng.uniform(0, 3, m - tied))))
+        oracle = vp_double_loop(x.values, y.values, q)
+        assert abs(victor_purpura(x, y, q) - oracle) <= 1e-12 * oracle
+        assert abs(victor_purpura(y, x, q) - oracle) <= 1e-12 * oracle
+
+
 def test_vp_domain():
     with pytest.raises(DomainError):
         victor_purpura(train([1.0]), train([2.0]), -0.1)
@@ -213,6 +278,67 @@ def test_kfs_matches_gram_oracle():
         assert kfs_distance(train(ys), train(xs), tau) == pytest.approx(
             kfs_distance(train(xs), train(ys), tau), rel=1e-12, abs=1e-12
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(_spike_times, min_size=1, max_size=40),
+       ys=st.lists(_spike_times, min_size=1, max_size=40),
+       shared=st.integers(0, 40), log_scale=st.floats(-6.0, 8.0))
+def test_kfs_sweep_matches_gram_oracle(xs, ys, shared, log_scale):
+    # tau from 1e-6 to 1e8 spans: far below 1/600 of the span, the sweep
+    # needs many blocks, and no exp may overflow or underflow on the way
+    x, y = train(xs), train(ys + xs[:shared])
+    span = max(x.values[-1], y.values[-1]) - min(x.values[0], y.values[0])
+    tau = (span or 1.0) * 10.0**log_scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = kfs_distance(x, y, tau)
+        assert kfs_distance(x, x, tau) == 0.0
+    radicand, mass = kfs_gram(x.values, y.values, tau)
+    # the Gram sums carry rounding of order 1e-16 of the total kernel mass
+    assert abs(ours * ours - radicand) <= 1e-12 * mass
+    if radicand >= 0.01 * mass:
+        assert ours == pytest.approx(math.sqrt(radicand), rel=1e-12)
+
+
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+def test_kfs_against_mpmath_at_wide_bandwidth():
+    # at tau = 1e8 the radicand is (n - m)^2 less O(span / tau): three Gram
+    # totals of order n^2 cancel down to it (1.1e-14 relative off here), the
+    # signed sweep cancels only small masses
+    rng = np.random.default_rng(1)
+    xs, ys = np.sort(rng.uniform(0, 10, 200)), np.sort(rng.uniform(0, 10, 180))
+    tau = 1e8
+    with mpmath.workdps(60):
+        z = [mpmath.mpf(float(v)) for v in np.concatenate((xs, ys))]
+        w = [1] * xs.size + [-1] * ys.size
+        cross = mpmath.fsum(w[i] * w[j] * mpmath.exp(-abs(z[i] - z[j]) / tau)
+                            for i in range(len(z)) for j in range(i))
+        exact = float(mpmath.sqrt(len(z) + 2 * cross))
+    assert abs(kfs_distance(train(xs), train(ys), tau) - exact) <= 1e-14 * exact
+
+
+def test_kfs_sweep_at_tiny_bandwidth():
+    # at tau = 1e-6 over 10 s almost every event is its own block: at most
+    # n + m blocks, each O(1), and no slower than the n * m Gram sums
+    rng = np.random.default_rng(12)
+    xs, ys = np.sort(rng.uniform(0, 10, 2000)), np.sort(rng.uniform(0, 10, 1800))
+    x, y = train(xs), train(ys)
+
+    def best_of_three(f):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            value = f()
+            times.append(time.perf_counter() - start)
+        return min(times), value
+
+    sweep_s, ours = best_of_three(lambda: kfs_distance(x, y, 1e-6))
+    gram_s, (radicand, mass) = best_of_three(lambda: kfs_gram(xs, ys, 1e-6))
+    assert abs(ours * ours - radicand) <= 1e-12 * mass
+    assert sweep_s <= gram_s
+    # at the smallest positive tau every cross term underflows to exactly 0
+    assert kfs_distance(x, y, 5e-324) == math.sqrt(xs.size + ys.size)
 
 
 def test_kfs_validation():
