@@ -74,8 +74,6 @@ from .validation import (
     expected_distance_comparisons,
     run_fig3_experiment,
     shift_comparisons,
-    validate_expected_distance,
-    validate_shift,
     validate_wasserstein_surface,
 )
 

@@ -6,7 +6,8 @@ seed, numbers are serialized with 17 significant digits so they round-trip
 losslessly, and ``read_table`` parses the tool's own output back.
 
 Exit codes: 0 success, 2 usage or domain error (including unparseable
-tokens, reported with line and column), 3 empty or degenerate input data.
+tokens, reported with line and column, and paths that cannot be opened),
+3 empty or degenerate input data.
 """
 
 from __future__ import annotations
@@ -368,6 +369,8 @@ _EXPERIMENTS = {
 
 
 def _cmd_experiment(args, seed) -> tuple[dict, list[dict]]:
+    if not 0.0 < args.threshold < math.inf:
+        raise DomainError("threshold must be positive and finite")
     for flag, defaults in (("trials", _DEFAULT_TRIALS), ("shifts", _DEFAULT_SHIFTS)):
         if args.name in defaults:
             if getattr(args, flag) is None:
@@ -435,22 +438,18 @@ def main(argv=None) -> int:
             config, rows = _cmd_experiment(args, seed)
         else:
             config, rows = _cmd_features(args, seed)
-    except (EmptyInput, EmptyTrain) as exc:
+        config["format"] = out_format
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                write_table(fh, config, rows, out_format)
+        else:
+            write_table(sys.stdout, config, rows, out_format)
+    except (EmptyInput, EmptyTrain, InvalidMeasure) as exc:
         print(f"spikeot: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except InvalidMeasure as exc:
-        print(f"spikeot: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except SpikeOTError as exc:
+    except (SpikeOTError, OSError) as exc:
         print(f"spikeot: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    config["format"] = out_format
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            write_table(fh, config, rows, out_format)
-    else:
-        write_table(sys.stdout, config, rows, out_format)
     return EXIT_OK
 
 

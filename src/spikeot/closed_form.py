@@ -102,6 +102,13 @@ def _gap_mean(rate1, rate2, k, l, excess=False):
     return s / (r1 * r2) * _binom_mad(k, k + l, r1 / s, r2 / s, excess)
 
 
+def _gap_moments(rate1, rate2, k, l):
+    """Mean and variance of |x_k - y_l| elementwise; see ``expected_distance``."""
+    e = _gap_mean(rate1, rate2, k, l, excess=True)
+    variance = k / rate1**2 + l / rate2**2 - e * (2.0 * np.abs(k / rate1 - l / rate2) + e)
+    return _gap_mean(rate1, rate2, k, l), np.maximum(variance, 0.0)
+
+
 def _check_rates_orders(rate1, rate2, k, l):
     for r in (rate1, rate2):
         if not (r > 0.0) or not np.isfinite(r):
@@ -120,11 +127,8 @@ def expected_distance(rate1: float, rate2: float, k: int, l: int) -> ClosedFormM
     Symmetric under swapping (rate1, k) with (rate2, l).
     """
     _check_rates_orders(rate1, rate2, k, l)
-    k, l = int(k), int(l)
-    mean = float(_gap_mean(float(rate1), float(rate2), k, l))
-    e = float(_gap_mean(float(rate1), float(rate2), k, l, excess=True))
-    variance = k / rate1**2 + l / rate2**2 - e * (2.0 * abs(k / rate1 - l / rate2) + e)
-    return ClosedFormMoment(mean=mean, variance=max(variance, 0.0))
+    mean, variance = _gap_moments(float(rate1), float(rate2), int(k), int(l))
+    return ClosedFormMoment(mean=float(mean), variance=float(variance))
 
 
 def expected_wasserstein(rate1: float, rate2: float, n_samples: int) -> float:

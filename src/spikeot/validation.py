@@ -1,7 +1,7 @@
 """Monte-Carlo cross-validation of every closed-form quantity.
 
 Each validator simulates the relevant order statistics, compares sample
-moments against the analytic values, and emits z-scored reports.  The default
+moments against the analytic values, and z-scores each comparison.  The default
 acceptance threshold is |z| <= 4: hundreds of simultaneous comparisons need a
 multiplicity-aware bar, and under a correct closed form only ~0.006% of
 reports exceed it by chance.
@@ -27,8 +27,7 @@ from .closed_form import (
     ClosedFormMoment,
     _check_rates_orders,
     _gap_mean,
-    expected_distance,
-    limiting_normalized_distance,
+    _gap_moments,
     shifted_expected_distance,
 )
 from .dissimilarity import _hausdorff_rows, _js_rows
@@ -45,9 +44,7 @@ __all__ = [
     "Fig3Row",
     "DEFAULT_Z_THRESHOLD",
     "expected_distance_comparisons",
-    "validate_expected_distance",
     "shift_comparisons",
-    "validate_shift",
     "validate_wasserstein_surface",
     "run_fig3_experiment",
 ]
@@ -104,21 +101,14 @@ class MomentComparison:
     z_std: float
     trials: int
 
-    def reports(self, seed: SpikeSeed, threshold: float) -> list[ValidationReport]:
-        return [
-            _report(f"{self.label}.mean", self.closed_mean, self.mc_mean,
-                    self.se_mean, self.trials, seed, threshold),
-            _report(f"{self.label}.std", self.closed_std, self.mc_std,
-                    self.se_std, self.trials, seed, threshold),
-        ]
-
 
 def _compare_moments(label, params, samples, moment: ClosedFormMoment) -> MomentComparison:
     n = samples.size
     mc_mean = float(samples.mean())
     centered = samples - mc_mean
-    m2 = float(np.mean(centered * centered))
-    m4 = float(np.mean(centered**4))
+    c2 = centered * centered
+    m2 = float(np.mean(c2))
+    m4 = float(np.mean(c2 * c2))
     mc_std = math.sqrt(m2 * n / (n - 1))
     se_mean = mc_std / math.sqrt(n)
     # asymptotic SE of the sample std via the fourth central moment
@@ -151,6 +141,9 @@ def expected_distance_comparisons(
         raise DomainError("k_max must be an integer >= 1")
     k_max = int(k_max)
     trials = _check_trials(trials, k_max)
+    _check_rates_orders(rate1, rate2, k_max, k_max)
+    orders = np.arange(1, k_max + 1)
+    means, variances = _gap_moments(float(rate1), float(rate2), orders, orders)
     x = np.cumsum(seed.generator(0).standard_exponential((trials, k_max)), axis=1) / rate1
     y = np.cumsum(seed.generator(1).standard_exponential((trials, k_max)), axis=1) / rate2
     gaps = np.abs(x - y)
@@ -159,43 +152,10 @@ def expected_distance_comparisons(
             f"order_gap[k={k}]",
             {"k": k, "rate1": rate1, "rate2": rate2},
             gaps[:, k - 1],
-            expected_distance(rate1, rate2, k, k),
+            ClosedFormMoment(float(means[k - 1]), float(variances[k - 1])),
         )
         for k in range(1, k_max + 1)
     ]
-
-
-def validate_expected_distance(
-    rate1: float,
-    rate2: float,
-    k_max: int,
-    trials: int,
-    seed: SpikeSeed,
-    threshold: float = DEFAULT_Z_THRESHOLD,
-) -> list[ValidationReport]:
-    """z-score the MC mean and std of |x_k - y_k| against the closed forms.
-
-    Appends one report comparing the normalized gap |x_k - y_k| / k at
-    k = k_max with its large-k limit |1/rate1 - 1/rate2| (meaningful once
-    k_max is large; at small k_max the finite-k bias dominates).
-    """
-    comparisons = expected_distance_comparisons(rate1, rate2, k_max, trials, seed)
-    reports = [r for cmp in comparisons for r in cmp.reports(seed, threshold)]
-    if rate1 != rate2:
-        limit, _ = limiting_normalized_distance(rate1, rate2)
-        last = comparisons[-1]
-        reports.append(
-            _report(
-                f"normalized_gap_limit[k={k_max}]",
-                limit,
-                last.mc_mean / k_max,
-                last.se_mean / k_max,
-                last.trials,
-                seed,
-                threshold,
-            )
-        )
-    return reports
 
 
 def shift_comparisons(
@@ -206,8 +166,10 @@ def shift_comparisons(
     shifts = [float(s) for s in shifts]
     if not shifts:
         raise DomainError("need at least one shift")
+    # the closed forms check the rates and shifts before anything is drawn
+    moments = [shifted_expected_distance(rate1, rate2, 1, 1, shift) for shift in shifts]
     out = []
-    for idx, shift in enumerate(shifts):
+    for idx, (shift, moment) in enumerate(zip(shifts, moments)):
         x = seed.generator(0, idx).standard_exponential(trials) / rate1
         y = seed.generator(1, idx).standard_exponential(trials) / rate2
         out.append(
@@ -215,26 +177,10 @@ def shift_comparisons(
                 f"shifted_gap[shift={shift:g}]",
                 {"shift": shift, "rate1": rate1, "rate2": rate2},
                 np.abs(x + shift - y),
-                shifted_expected_distance(rate1, rate2, 1, 1, shift),
+                moment,
             )
         )
     return out
-
-
-def validate_shift(
-    rate1: float,
-    rate2: float,
-    shifts,
-    trials: int,
-    seed: SpikeSeed,
-    threshold: float = DEFAULT_Z_THRESHOLD,
-) -> list[ValidationReport]:
-    """z-score MC mean/std of the shifted first-arrival gap on a shift grid."""
-    return [
-        r
-        for cmp in shift_comparisons(rate1, rate2, shifts, trials, seed)
-        for r in cmp.reports(seed, threshold)
-    ]
 
 
 @dataclass(frozen=True)

@@ -175,9 +175,21 @@ def test_threads_flag_is_gone(capsys):
                  id="figB1-k-max-beyond-draw-cap"),
     pytest.param(None, ["experiment", "shift", "--trials", "1000000000000"],
                  id="shift-trials-beyond-draw-cap"),
+    pytest.param(None, ["experiment", "figB1", "--rate1", "0"], id="figB1-zero-rate"),
+    pytest.param(None, ["experiment", "shift", "--rate1", "0"], id="shift-zero-rate"),
+    pytest.param(None, ["experiment", "fig2", "--threshold", "nan"], id="fig2-nan-threshold"),
+    pytest.param(None, ["experiment", "shift", "--threshold", "-1"],
+                 id="shift-negative-threshold"),
+    pytest.param(None, ["experiment", "figB1", "--threshold", "inf"],
+                 id="figB1-infinite-threshold"),
+    pytest.param(None, ["w1", "a.txt", "missing.txt"], id="w1-missing-file"),
+    pytest.param(None, ["--output", "missing-dir/x.csv", "closed-form", "1", "2", "1", "1"],
+                 id="output-in-missing-dir"),
 ])
 @pytest.mark.filterwarnings("error")  # a bad input must stop before any numpy warning
-def test_bad_input_exits_2_with_message(capsys, monkeypatch, env_seed, argv):
+def test_bad_input_exits_2_with_message(capsys, monkeypatch, tmp_path, env_seed, argv):
+    monkeypatch.chdir(tmp_path)  # relative paths: a.txt exists, nothing else does
+    write(tmp_path, "a.txt", "0.5\n1.5\n")
     if env_seed is None:
         monkeypatch.delenv("SPIKEOT_SEED", raising=False)
     else:

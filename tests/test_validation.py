@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spikeot import validation
 from spikeot import (
+    ClosedFormMoment,
     DomainError,
     SortedSamples,
     SpikeSeed,
@@ -20,8 +21,6 @@ from spikeot import (
     shift_comparisons,
     shifted_expected_distance,
     expected_wasserstein,
-    validate_expected_distance,
-    validate_shift,
     validate_wasserstein_surface,
     w1_general,
 )
@@ -31,21 +30,20 @@ from spikeot.transport import _w1_rows
 from spikeot.validation import harmonic_slice_check
 
 
-def test_reports_pass_iff_z_within_threshold():
-    reports = validate_expected_distance(1.0, 1.0, 2, 500, SpikeSeed(1), threshold=4.0)
-    for r in reports:
-        assert r.passed == (abs(r.z_score) <= r.threshold)
-        assert r.estimate.trials == 500
-        assert r.estimate.std_error >= 0.0
+def test_comparison_z_scores_within_threshold():
+    for cmp in expected_distance_comparisons(1.0, 1.0, 2, 500, SpikeSeed(1)):
+        assert cmp.trials == 500
+        assert cmp.se_mean > 0.0 and cmp.se_std > 0.0
+        assert cmp.z_mean == (cmp.mc_mean - cmp.closed_mean) / cmp.se_mean
+        assert cmp.z_std == (cmp.mc_std - cmp.closed_std) / cmp.se_std
+        assert max(abs(cmp.z_mean), abs(cmp.z_std)) <= 4.0
 
 
 def test_expected_distance_validation_unit_case():
-    reports = validate_expected_distance(1.0, 1.0, 1, 20_000, SpikeSeed(2))
-    mean_report = reports[0]
-    assert mean_report.quantity == "order_gap[k=1].mean"
-    assert mean_report.closed_value == pytest.approx(1.0)
-    assert abs(mean_report.estimate.mean - 1.0) < 4 * mean_report.estimate.std_error
-    assert mean_report.passed
+    cmp = expected_distance_comparisons(1.0, 1.0, 1, 20_000, SpikeSeed(2))[0]
+    assert cmp.label == "order_gap[k=1]"
+    assert cmp.closed_mean == pytest.approx(1.0)
+    assert abs(cmp.mc_mean - 1.0) < 4 * cmp.se_mean
 
 
 def test_std_error_scaling_with_trials():
@@ -56,9 +54,11 @@ def test_std_error_scaling_with_trials():
 
 
 def test_comparisons_are_deterministic():
-    a = validate_expected_distance(0.3, 0.8, 3, 300, SpikeSeed(4))
-    b = validate_expected_distance(0.3, 0.8, 3, 300, SpikeSeed(4))
+    a = expected_distance_comparisons(0.3, 0.8, 3, 300, SpikeSeed(4))
+    b = expected_distance_comparisons(0.3, 0.8, 3, 300, SpikeSeed(4))
     assert a == b
+    assert shift_comparisons(0.3, 0.8, [1.0], 300, SpikeSeed(4)) == shift_comparisons(
+        0.3, 0.8, [1.0], 300, SpikeSeed(4))
 
 
 def test_extending_trials_preserves_prefix_draws():
@@ -71,9 +71,9 @@ def test_extending_trials_preserves_prefix_draws():
 
 def test_validation_rejects_tiny_trial_counts():
     with pytest.raises(DomainError):
-        validate_expected_distance(1.0, 2.0, 3, 50, SpikeSeed(0))
+        expected_distance_comparisons(1.0, 2.0, 3, 50, SpikeSeed(0))
     with pytest.raises(DomainError):
-        validate_shift(1.0, 2.0, [0.0], 50, SpikeSeed(0))
+        shift_comparisons(1.0, 2.0, [0.0], 50, SpikeSeed(0))
 
 
 def test_shift_zero_column_matches_unshifted_closed_form():
@@ -84,11 +84,56 @@ def test_shift_zero_column_matches_unshifted_closed_form():
 
 
 def test_shift_validation_small_grid():
-    reports = validate_shift(0.3, 0.8, [-2.0, 0.0, 2.0], 5_000, SpikeSeed(7))
-    assert len(reports) == 6
-    assert all(r.passed for r in reports)
+    comparisons = shift_comparisons(0.3, 0.8, [-2.0, 0.0, 2.0], 5_000, SpikeSeed(7))
+    assert len(comparisons) == 3
+    assert all(max(abs(c.z_mean), abs(c.z_std)) <= 4.0 for c in comparisons)
     closed = shifted_expected_distance(0.3, 0.8, 1, 1, 2.0)
-    assert reports[4].closed_value == pytest.approx(closed.mean)
+    assert (comparisons[2].closed_mean, comparisons[2].closed_std) == (closed.mean, closed.std)
+
+
+def _moments_by_pow(samples):
+    """The replaced route: the fourth central moment by ``centered**4``, one libm pow
+    per sample, where ``_compare_moments`` squares the squares."""
+    n = samples.size
+    mc_mean = float(samples.mean())
+    centered = samples - mc_mean
+    m2 = float(np.mean(centered * centered))
+    m4 = float(np.mean(centered**4))
+    mc_std = math.sqrt(m2 * n / (n - 1))
+    var_s2 = max(m4 - m2 * m2, 0.0) / n
+    se_std = math.sqrt(var_s2) / (2.0 * mc_std) if mc_std > 0.0 else 0.0
+    return mc_mean, mc_std, mc_std / math.sqrt(n), se_std
+
+
+@given(st.integers(100, 5000), st.integers(0, 2**32 - 1),
+       st.sampled_from(["exponential", "normal", "uniform", "constant"]))
+@example(100, 0, "constant")
+@settings(max_examples=200, deadline=None)
+def test_compare_moments_matches_pow_route(n, seed, shape):
+    rng = np.random.default_rng(seed)
+    samples = {"exponential": lambda: rng.standard_exponential(n) * 2.5,
+               "normal": lambda: 3.0 + rng.standard_normal(n),
+               "uniform": lambda: rng.random(n) - 0.5,
+               "constant": lambda: np.full(n, 0.7)}[shape]()
+    moment = ClosedFormMoment(mean=float(samples.mean()) + 1e-3, variance=0.9)
+    cmp = validation._compare_moments("x", {}, samples, moment)
+    mc_mean, mc_std, se_mean, se_std = _moments_by_pow(samples)
+    assert (cmp.mc_mean, cmp.mc_std, cmp.se_mean) == (mc_mean, mc_std, se_mean)
+    assert cmp.se_std == pytest.approx(se_std, rel=1e-15, abs=0.0)
+    z_std = validation._z_score(mc_std, moment.std, se_std)
+    assert cmp.z_std == pytest.approx(z_std, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("rate1, rate2", [(0.3, 0.8), (1.0, 1.0), (2.5, 1.25), (5.0, 1.0)])
+def test_figb1_closed_columns_match_scalar_closed_form(rate1, rate2):
+    # one array closed-form call serves every order; the per-k scalar calls it
+    # replaced stay here as the oracle, bit for bit
+    for k_max in (1, 100, 2000):
+        comparisons = expected_distance_comparisons(rate1, rate2, k_max, 100, SpikeSeed(0))
+        assert len(comparisons) == k_max
+        for k, cmp in enumerate(comparisons, start=1):
+            moment = expected_distance(rate1, rate2, k, k)
+            assert (cmp.closed_mean, cmp.closed_std) == (moment.mean, moment.std)
 
 
 def test_surface_closed_form_reduction_at_single_sample():
