@@ -50,8 +50,6 @@ from .poisson import (
     MCEstimate,
     RateFunction,
     SpikeSeed,
-    cumulative_intensity,
-    inverse_cumulative_intensity,
     sample_kth_arrival,
     simulate_process,
 )

@@ -315,7 +315,10 @@ def _experiment_fig2(args, seed) -> tuple[dict, list[dict]]:
     span = args.grid_max - args.grid_min
     if not (args.grid_step > 0.0 and 0.0 <= span < math.inf):
         raise DomainError("fig2 needs grid_step > 0 and a finite grid_max >= grid_min")
-    steps = int(round(span / args.grid_step))
+    steps = round(min(span / args.grid_step, validation._MAX_DRAWS))  # the ratio may be inf
+    if (steps + 1) ** 2 > validation._MAX_DRAWS:
+        raise DomainError(f"fig2's --grid-step {args.grid_step!r} makes over "
+                          f"{validation._MAX_DRAWS:.0e} grid cells")
     rates = [args.grid_min + i * args.grid_step for i in range(steps + 1)]
     surface = validation.validate_wasserstein_surface(
         rates, args.n_samples, args.trials, seed, threshold=args.threshold

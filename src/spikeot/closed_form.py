@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateLimit, DomainError, IntensityExhausted
 from .poisson import RateFunction
@@ -54,6 +53,8 @@ class ClosedFormMoment:
 
 def _stirlerr(n):
     """log(n!) - log(sqrt(2 pi n) (n/e)^n) for n >= 1 (Loader 2000)."""
+    from scipy import special
+
     nn = n * n
     series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
     # below 16 the series' first omitted term exceeds 1e-16
@@ -80,6 +81,8 @@ def _binom_mad(c, n, p, q, excess=False):
     n = 2e6, where ``bdtr`` and a log-gamma pmf lose up to 1e-9.  ``excess``:
     E|X - c| - |c - np| = 2cq b - 2|c - np| T, T the tail beyond c away from np.
     """
+    from scipy import special
+
     c, rest = np.asarray(c, dtype=float), np.asarray(n - c, dtype=float)
     n = c + rest
     log_pmf = _stirlerr(n) - _stirlerr(c) - _stirlerr(rest) - _bd0(c, n * p) - _bd0(rest, n * q)
@@ -176,6 +179,8 @@ def shifted_expected_distance(
     k, l = int(k), int(l)
     if shift == 0.0:
         return expected_distance(rate1, rate2, k, l)
+    from scipy import special
+
     if shift < 0.0:
         rate1, rate2, k, l, shift = rate2, rate1, l, k, -shift
 
@@ -244,8 +249,8 @@ def expected_distance_time_varying(
         raise DomainError("arrival orders must be integers >= 1")
     if power not in (1, 2):
         raise DomainError("power must be 1 or 2")
-    # the only user of scipy.integrate: importing it here keeps it out of `import spikeot`
-    from scipy import integrate
+    # imported per call, not at `import spikeot`; the integrands bind these local names
+    from scipy import integrate, special
 
     k, l = int(k), int(l)
     u_hi, v_hi = (float(special.gammainccinv(n, GAMMA_TAIL)) for n in (k, l))

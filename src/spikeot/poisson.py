@@ -21,8 +21,6 @@ __all__ = [
     "SpikeSeed",
     "MCEstimate",
     "RateFunction",
-    "cumulative_intensity",
-    "inverse_cumulative_intensity",
     "simulate_process",
     "sample_kth_arrival",
 ]
@@ -196,16 +194,6 @@ class RateFunction:
         out = np.where(exact, bp[np.minimum(first_geq, bp.size - 1)], bp[seg] + dt)
         out = np.where(u_arr == 0.0, 0.0, out)
         return float(out) if u_arr.ndim == 0 else out
-
-
-def cumulative_intensity(rate_fn: RateFunction, x) -> float:
-    """m(x) for the given rate function; see RateFunction.cumulative."""
-    return rate_fn.cumulative(x)
-
-
-def inverse_cumulative_intensity(rate_fn: RateFunction, u) -> float:
-    """m^-1(u) for the given rate function; see RateFunction.inverse_cumulative."""
-    return rate_fn.inverse_cumulative(u)
 
 
 def simulate_process(rate_fn: RateFunction, horizon: float, seed: SpikeSeed) -> SortedSamples:

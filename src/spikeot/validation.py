@@ -403,6 +403,8 @@ def run_fig3_experiment(
     if any(int(v) != v or v < 1 for v in (trials, bins, order_stat)):
         raise DomainError("trials, bins and order_stat must be integers >= 1")
     trials = int(trials)
+    if trials * int(bins) > _MAX_DRAWS:
+        raise DomainError(f"{trials} trials x {int(bins)} bins exceed the cap of {_MAX_DRAWS:.0e}")
     cells = [(float(r), float(dt)) for r in rate_ratios for dt in shifts]
     # a cell's Poisson means are at most max(r * base_rate, base_rate / r)
     if not (base_rate > 0.0 and cells and all(r > 0.0 and math.isfinite(dt) and max(

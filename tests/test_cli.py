@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -21,6 +22,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """The environment with this spikeot first on the path and no seed override."""
+    src = os.path.dirname(os.path.dirname(spikeot.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("SPIKEOT_SEED", None)
+    return env
 
 
 def test_w1_identical_files(tmp_path, capsys):
@@ -138,6 +148,21 @@ def test_threads_flag_is_gone(capsys):
     assert excinfo.value.code == 2
 
 
+# without its cap this grid holds about 4e300 rates: building it would never end
+FIG2_HUGE_GRID = ["experiment", "fig2", "--grid-step", "1e-300"]
+
+
+def run_cli_fenced(argv):
+    """run_cli in a child process with a 20 s timeout and a 2 GiB address-space rlimit."""
+    def fence():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    code = "import sys; from spikeot.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code, *argv], env=child_env(),
+                          preexec_fn=fence, capture_output=True, text=True, timeout=20)
+    return done.returncode, done.stdout, done.stderr
+
+
 @pytest.mark.parametrize("env_seed, argv", [
     pytest.param(None, ["--seed", "-1", "closed-form", "1", "2", "1", "1"], id="negative-seed"),
     pytest.param("abc", ["closed-form", "1", "2", "1", "1"], id="env-seed-not-int"),
@@ -185,6 +210,9 @@ def test_threads_flag_is_gone(capsys):
     pytest.param(None, ["w1", "a.txt", "missing.txt"], id="w1-missing-file"),
     pytest.param(None, ["--output", "missing-dir/x.csv", "closed-form", "1", "2", "1", "1"],
                  id="output-in-missing-dir"),
+    pytest.param(None, ["experiment", "fig3", "--bins", "100000000000", "--trials", "1",
+                        "--ratios", "1", "--shifts", "0"], id="fig3-bins-beyond-draw-cap"),
+    pytest.param(None, FIG2_HUGE_GRID, id="fig2-grid-beyond-draw-cap"),
 ])
 @pytest.mark.filterwarnings("error")  # a bad input must stop before any numpy warning
 def test_bad_input_exits_2_with_message(capsys, monkeypatch, tmp_path, env_seed, argv):
@@ -194,7 +222,10 @@ def test_bad_input_exits_2_with_message(capsys, monkeypatch, tmp_path, env_seed,
         monkeypatch.delenv("SPIKEOT_SEED", raising=False)
     else:
         monkeypatch.setenv("SPIKEOT_SEED", env_seed)
-    code, out, err = run_cli(capsys, *argv)
+    if argv is FIG2_HUGE_GRID:
+        code, out, err = run_cli_fenced(argv)
+    else:
+        code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("spikeot: ")
@@ -335,10 +366,25 @@ def test_env_var_seed(tmp_path, capsys, monkeypatch):
     assert out != out2
 
 
-def test_import_leaves_out_scipy_integrate():
-    # only the time-varying quadrature needs scipy.integrate, so startup skips it
-    src = os.path.dirname(os.path.dirname(spikeot.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = "import sys, spikeot.cli; sys.exit('scipy.integrate' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+LEAN_STARTUP_PROBE = """
+import sys
+import spikeot, spikeot.cli
+assert not {"scipy.special", "scipy.integrate"} & set(sys.modules)
+assert spikeot.cli.main(["w1", sys.argv[1], sys.argv[2]]) == 0
+assert spikeot.cli.main(["experiment", "fig3", "--trials", "100", "--ratios", "1",
+                         "--shifts", "0"]) == 0
+assert "scipy.special" not in sys.modules
+m = spikeot.expected_distance(0.3, 0.8, 3, 5)
+print(m.mean.hex(), m.variance.hex())
+"""
+
+
+def test_startup_leaves_out_scipy_until_a_closed_form_runs(tmp_path):
+    # only the closed forms call scipy: startup, w1 and fig3 never load it
+    a, b = write(tmp_path, "a.txt", "0.5\n1.5\n"), write(tmp_path, "b.txt", "1\n4\n")
+    done = subprocess.run([sys.executable, "-c", LEAN_STARTUP_PROBE, a, b], env=child_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    moment = spikeot.expected_distance(0.3, 0.8, 3, 5)
+    mean, variance = map(float.fromhex, done.stdout.split("\n")[-2].split())
+    assert (mean, variance) == (moment.mean, moment.variance)

@@ -9,8 +9,6 @@ from spikeot import (
     IntensityExhausted,
     RateFunction,
     SpikeSeed,
-    cumulative_intensity,
-    inverse_cumulative_intensity,
     sample_kth_arrival,
     simulate_process,
 )
@@ -33,25 +31,25 @@ def two_segment_rate(ratio, base_rate=100.0):
 
 def test_constant_cumulative_and_inverse():
     r = RateFunction.constant(2.0)
-    assert cumulative_intensity(r, 3.0) == 6.0
-    assert inverse_cumulative_intensity(r, 6.0) == 3.0
+    assert r.cumulative(3.0) == 6.0
+    assert r.inverse_cumulative(6.0) == 3.0
     assert r.total_intensity == math.inf
 
 
 def test_saturating_cumulative():
     r = RateFunction.piecewise_constant([0, 1], [1.0])
-    assert cumulative_intensity(r, 5.0) == 1.0
+    assert r.cumulative(5.0) == 1.0
     assert r.total_intensity == 1.0
 
 
 def test_two_segment_cumulative_matches_quadrature():
     r = two_segment_rate(math.e)
     knee = 1.0 / (math.e + 1.0)
-    assert cumulative_intensity(r, knee) == pytest.approx(
+    assert r.cumulative(knee) == pytest.approx(
         math.e * 100.0 * knee, rel=1e-14
     )
     for x in [0.1, knee, 0.5, 0.93, 1.0, 2.0]:
-        assert cumulative_intensity(r, x) == pytest.approx(
+        assert r.cumulative(x) == pytest.approx(
             quad_cumulative(r, x), rel=1e-10
         )
 
@@ -59,15 +57,15 @@ def test_two_segment_cumulative_matches_quadrature():
 def test_piecewise_linear_cumulative_matches_quadrature():
     r = RateFunction.piecewise_linear([0.0, 1.0, 3.0, 4.5], [0.0, 2.0, 2.0, 5.0])
     for x in [0.2, 1.0, 1.7, 3.2, 4.5, 9.0]:
-        assert cumulative_intensity(r, x) == pytest.approx(quad_cumulative(r, x), rel=1e-10)
+        assert r.cumulative(x) == pytest.approx(quad_cumulative(r, x), rel=1e-10)
 
 
 def test_cumulative_domain_errors():
     r = RateFunction.constant(1.0)
     with pytest.raises(DomainError):
-        cumulative_intensity(r, -0.5)
+        r.cumulative(-0.5)
     with pytest.raises(DomainError):
-        inverse_cumulative_intensity(r, -1e-9)
+        r.inverse_cumulative(-1e-9)
 
 
 def test_inverse_round_trip_on_random_rate_functions():
@@ -99,17 +97,17 @@ def test_inverse_square_root_segment_form():
 
 def test_inverse_plateau_returns_left_endpoint():
     r = RateFunction.piecewise_constant([0, 1, 2, 3], [1.0, 0.0, 2.0])
-    assert inverse_cumulative_intensity(r, 1.0) == 1.0
-    assert inverse_cumulative_intensity(r, 1.5) == pytest.approx(2.25)
-    assert inverse_cumulative_intensity(r, 0.0) == 0.0
+    assert r.inverse_cumulative(1.0) == 1.0
+    assert r.inverse_cumulative(1.5) == pytest.approx(2.25)
+    assert r.inverse_cumulative(0.0) == 0.0
 
 
 def test_inverse_exhaustion():
     r = RateFunction.piecewise_constant([0, 1], [2.0])
     with pytest.raises(IntensityExhausted):
-        inverse_cumulative_intensity(r, 2.0)
+        r.inverse_cumulative(2.0)
     with pytest.raises(IntensityExhausted):
-        inverse_cumulative_intensity(r, 5.0)
+        r.inverse_cumulative(5.0)
 
 
 def test_rate_function_validation():
@@ -161,12 +159,12 @@ def test_simulation_time_rescaling():
     # pushing simulated nonhomogeneous spikes through m gives a unit-rate
     # process; pooled normalized points are U(0,1) (KS at the 1% level)
     r = RateFunction.piecewise_linear([0.0, 0.5, 2.0], [4.0, 1.0, 3.0])
-    total = cumulative_intensity(r, 2.0)
+    total = r.cumulative(2.0)
     pooled = []
     for i in range(10_000):
         spikes = simulate_process(r, 2.0, SpikeSeed(77, stream=i))
         if len(spikes):
-            pooled.append(cumulative_intensity(r, spikes.values) / total)
+            pooled.append(r.cumulative(spikes.values) / total)
     pooled = np.concatenate(pooled)
     assert stats.kstest(pooled, "uniform").pvalue > 0.01
 
